@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import GR_ZERO, GaussRat, I_POWERS, UniPoly, poly_gcd
+from .knotdata import json_int
 
 
 class APolyError(ValueError):
@@ -85,16 +86,18 @@ class APoly:
 
     @classmethod
     def from_record(cls, obj: dict) -> "APoly":
+        """Build from a JSON record; exponents, coefficients and the (p, q)
+        tag must be JSON integers."""
         name = obj.get("name", "?")
         terms = {}
         for t in obj["terms"]:
-            key = (t["m"], t["l"])
+            key = (json_int(t["m"], "m-exponent"), json_int(t["l"], "l-exponent"))
             if key in terms:
                 raise APolyError(f"{name}: duplicate exponent pair {key}")
-            terms[key] = t["c"]
+            terms[key] = json_int(t["c"], "coefficient")
         pq = None
         if "p" in obj and "q" in obj:
-            pq = (obj["p"], obj["q"])
+            pq = (json_int(obj["p"], "p"), json_int(obj["q"], "q"))
         return cls.from_terms(name, terms, pq=pq, small_flag=obj.get("small"))
 
     def to_record(self) -> dict:

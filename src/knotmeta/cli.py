@@ -8,9 +8,7 @@ is bit-stable (sorted keys, rationals rendered as "num/den" strings).
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -38,14 +36,6 @@ def _emit_json(payload):
 def _fail(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("KNOTMETA_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 format_option = click.option(
@@ -329,26 +319,34 @@ def apoly_analyze_cmd(path, det_value, fmt):
 
 
 SWEEP_HEADER = "name,p,q,det,meta_count,riley_deg,squarefree,relator_ok,longitude_ok"
+SWEEP_COLUMNS = SWEEP_HEADER.split(",")
 
 
 def _sweep_row(K: TwoBridge) -> dict:
-    sec = riley.section_at_minus_one(K)
-    cross = riley.cross_check_counts(K)
-    rel = riley.verify_relator_mod_phi(K)
-    lon = riley.verify_longitude_mod_phi(K)
-    ok = sec.squarefree and cross.ok and rel.ok and lon.ok
-    return {
-        "name": K.name,
-        "p": K.p,
-        "q": K.q,
-        "det": K.p,
-        "meta_count": cross.metabelian_count,
-        "riley_deg": sec.roots_count,
-        "squarefree": sec.squarefree,
-        "relator_ok": rel.ok,
-        "longitude_ok": lon.ok,
-        "ok": ok,
-    }
+    """One knot's row: the section is computed once and shared by every
+    check. A RileyError fails the row, not the run; its unmeasured columns
+    are null and the message goes to stderr and the row's "error"."""
+    row = {"name": K.name, "p": K.p, "q": K.q, "det": K.p}
+    try:
+        sec = riley.section_at_minus_one(K)
+        cross = riley.cross_check_counts(K, sec)
+        rel = riley.verify_relator_mod_phi(K, sec)
+        lon = riley.verify_longitude_mod_phi(K, sec)
+    except riley.RileyError as exc:
+        click.echo(f"verification failure: {exc}", err=True)
+        return {k: row.get(k) for k in SWEEP_COLUMNS} | {
+            "ok": False,
+            "error": str(exc),
+        }
+    row.update(
+        meta_count=cross.metabelian_count,
+        riley_deg=sec.roots_count,
+        squarefree=sec.squarefree,
+        relator_ok=rel.ok,
+        longitude_ok=lon.ok,
+        ok=sec.squarefree and cross.ok and rel.ok and lon.ok,
+    )
+    return row
 
 
 @main.command("sweep")
@@ -360,12 +358,7 @@ def sweep_cmd(p_max, negative_q, fmt):
     if p_max < 3 or p_max % 2 == 0:
         _fail("p-max must be odd and >= 3")
     knots = all_two_bridge(p_max, include_negative_q=negative_q)
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_row, knots))
-    else:
-        rows = [_sweep_row(K) for K in knots]
+    rows = [_sweep_row(K) for K in knots]
     rows.sort(key=lambda r: (r["p"], r["q"]))
     if fmt == "json":
         _emit_json(rows)
@@ -373,12 +366,15 @@ def sweep_cmd(p_max, negative_q, fmt):
         click.echo(SWEEP_HEADER)
         for r in rows:
             click.echo(
-                f"{r['name']},{r['p']},{r['q']},{r['det']},{r['meta_count']},"
-                f"{r['riley_deg']},{r['squarefree']},{r['relator_ok']},"
-                f"{r['longitude_ok']}"
+                ",".join(
+                    "" if r[k] is None else str(r[k]) for k in SWEEP_COLUMNS
+                )
             )
     else:
         for r in rows:
+            if "error" in r:
+                click.echo(f"{r['name']}: FAIL {r['error']}")
+                continue
             status = "ok" if r["ok"] else "FAIL"
             click.echo(
                 f"{r['name']}: det {r['det']}, count {r['meta_count']}, "

@@ -16,6 +16,15 @@ class KnotDataError(ValueError):
     pass
 
 
+def json_int(value, what: str) -> int:
+    """value if it is a JSON integer. Floats, strings and booleans are
+    refused, never coerced."""
+    if type(value) is not int:
+        shown = json.dumps(value, default=repr)
+        raise KnotDataError(f"{what} must be a JSON integer, got {shown}")
+    return value
+
+
 @dataclass(frozen=True)
 class SeifertKnot:
     """A knot given by a 2g x 2g Seifert matrix V of a free Seifert surface."""
@@ -148,9 +157,12 @@ def _parse_knot_record(obj, idx: int):
     name = obj.get("name", f"record-{idx}")
     try:
         if kind == "seifert":
-            return SeifertKnot(name=name, V=IntMat(obj["V"]))
+            V = [[json_int(x, "Seifert entry") for x in row] for row in obj["V"]]
+            return SeifertKnot(name=name, V=IntMat(V))
         if kind == "twobridge":
-            return TwoBridge(name=name, p=int(obj["p"]), q=int(obj["q"]))
+            return TwoBridge(
+                name=name, p=json_int(obj["p"], "p"), q=json_int(obj["q"], "q")
+            )
         if kind == "apoly":
             return APoly.from_record(obj)
         raise KnotDataError(f"unknown record type {kind!r}")

@@ -9,13 +9,15 @@ At t = -1 every generator image is i times an involutive integer matrix:
 
 so the holonomy of any word is i^sigma times a product of N-matrices with
 integer polynomial entries. All t = -1 computation runs over plain integer
-coefficient lists; the Laurent route (word_holonomy + eval_s_to_i) is kept
-as the independent cross-check.
+coefficient tuples: holonomy, the squarefree certificate, residues mod phi
+and the display roots. The Laurent route (word_holonomy + eval_s_to_i) is
+kept as the independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from .exactalg import (
     LB_ONE,
@@ -81,7 +83,8 @@ def riley_polynomial(K: TwoBridge) -> LaurentBiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Fast integer path at t = -1
+# Integer polynomial kernel. A polynomial over Z is a tuple of coefficients,
+# constant term first, with no trailing zeros; () is the zero polynomial.
 
 def _trim(c: list) -> tuple:
     while c and c[-1] == 0:
@@ -107,19 +110,123 @@ def _ishift(a: tuple) -> tuple:
     return (0,) + a if a else ()
 
 
-def _imul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for j, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b):
-                out[j + k] += x * y
-    return _trim(out)
-
-
 def _isub(a: tuple, b: tuple) -> tuple:
     return _iadd(a, _ineg(b))
+
+
+def _iderivative(a: tuple) -> tuple:
+    return tuple(k * x for k, x in enumerate(a))[1:]
+
+
+def _irem_monic(a: tuple, phi: tuple) -> tuple:
+    """Remainder of a by a monic integer polynomial phi; stays over Z."""
+    assert phi and phi[-1] == 1
+    d = len(phi) - 1
+    rem = list(a)
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k]
+        if not c:
+            continue
+        for j in range(d + 1):
+            rem[k - d + j] -= c * phi[j]
+    return _trim(rem[: d])
+
+
+def _iprem(a: tuple, b: tuple) -> tuple:
+    """A positive integer multiple of the remainder of a by b over Q: each
+    elimination step scales by |lc(b)|, never by a negative number, so the
+    result has the sign of the true remainder at every point."""
+    d = len(b) - 1
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    rem = list(a)
+    while len(rem) > d:
+        c = rem.pop() * sign
+        if c:
+            s = len(rem) - d
+            rem = [scale * x for x in rem]
+            for j in range(d):
+                rem[s + j] -= c * b[j]
+    return _trim(rem)
+
+
+def _iquo_exact(a: tuple, b: tuple) -> tuple:
+    """a / b for a primitive b that divides a over Q; the quotient is then
+    integral (Gauss's lemma)."""
+    d = len(b) - 1
+    rem = list(a)
+    quot = [0] * (len(a) - d)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + d] // b[-1]
+        for j in range(d + 1):
+            rem[k + j] -= c * b[j]
+    assert not any(rem), "inexact integer polynomial division"
+    return tuple(quot)
+
+
+def _primitive(a: tuple) -> tuple:
+    """a divided by its positive content; every sign is kept."""
+    g = math.gcd(*a)
+    return tuple(x // g for x in a) if g > 1 else a
+
+
+def _content_normalize(a: tuple) -> tuple:
+    """Divide out the integer content and make the leading coefficient
+    positive."""
+    a = _primitive(a)
+    return _ineg(a) if a and a[-1] < 0 else a
+
+
+def _sign_at(f: tuple, n: int, m: int) -> int:
+    """Sign of f(n/m) for m > 0, from the homogeneous Horner form
+    m^deg(f) * f(n/m) = sum f_j n^j m^(deg(f) - j)."""
+    acc = f[-1]
+    m_pow = 1
+    for c in f[-2::-1]:
+        m_pow *= m
+        acc = acc * n + c * m_pow
+    return (acc > 0) - (acc < 0)
+
+
+# The squarefree certificate reduces mod this word-size prime, 2^31 - 1.
+_CERT_PRIME = 2_147_483_647
+
+
+def _gcd_degree_mod(a: tuple, b: tuple, P: int) -> int:
+    """Degree of gcd(a, b) over Z/P by the Euclidean algorithm (-1 for
+    gcd(0, 0))."""
+    a = _trim([x % P for x in a])
+    b = _trim([x % P for x in b])
+    while b:
+        inv = pow(b[-1], -1, P)
+        d = len(b) - 1
+        rem = list(a)
+        while len(rem) > d:
+            c = rem.pop() * inv % P
+            if c:
+                s = len(rem) - d
+                for j in range(d):
+                    rem[s + j] = (rem[s + j] - c * b[j]) % P
+        a, b = b, _trim(rem)
+    return len(a) - 1
+
+
+def _is_squarefree(phi: tuple) -> bool:
+    """Squarefreeness over Q of a monic integer polynomial.
+
+    A repeated factor of a monic phi is, by Gauss's lemma, a monic integer
+    polynomial and survives reduction mod any prime, so a trivial
+    gcd(phi, phi') mod _CERT_PRIME proves phi squarefree. Any other result
+    is only a hint; the exact gcd over Q then decides."""
+    assert phi and phi[-1] == 1
+    if _gcd_degree_mod(phi, _iderivative(phi), _CERT_PRIME) == 0:
+        return True
+    f = UniPoly(phi)
+    return poly_gcd(f, poly_derivative(f)).degree == 0
+
+
+# ---------------------------------------------------------------------------
+# Holonomy at t = -1 over the integer kernel
 
 _IZERO = ()
 _IONE = (1,)
@@ -154,35 +261,6 @@ def _power_x1x2_at_i(n: int):
     return A, B, C, D
 
 
-def _irem_monic(a: tuple, phi: tuple) -> tuple:
-    """Remainder of a by a monic integer polynomial phi; stays over Z."""
-    assert phi and phi[-1] == 1
-    d = len(phi) - 1
-    rem = list(a)
-    for k in range(len(rem) - 1, d - 1, -1):
-        c = rem[k]
-        if not c:
-            continue
-        for j in range(d + 1):
-            rem[k - d + j] -= c * phi[j]
-    return _trim(rem[: d])
-
-
-def _content_normalize(a: tuple) -> tuple:
-    """Divide out the integer content and make the leading coefficient
-    positive."""
-    import math
-
-    if not a:
-        return a
-    g = 0
-    for x in a:
-        g = math.gcd(g, abs(x))
-    if a[-1] < 0:
-        g = -g
-    return tuple(x // g for x in a)
-
-
 def _scaled_eq(k: int, P: tuple, Q: tuple) -> bool:
     """i^k * P == Q for integer matrices, k even."""
     sign = 1 if k % 4 == 0 else -1
@@ -203,6 +281,7 @@ class RileySection:
     w12: UniPoly     # w12(-1,u)
     roots_count: int  # = degree of phi, with multiplicity
     squarefree: bool
+    phi_int: tuple = field(repr=False, compare=False)  # phi as integer tuple
 
 
 def section_at_minus_one(K: TwoBridge) -> RileySection:
@@ -245,7 +324,7 @@ def section_at_minus_one(K: TwoBridge) -> RileySection:
     phi_int = _content_normalize(phi_raw)
 
     phi = UniPoly(phi_int)
-    squarefree = poly_gcd(phi, poly_derivative(phi)).degree == 0
+    squarefree = _is_squarefree(phi_int)
     if not squarefree:
         # would contradict the distinctness of the (p-1)/2 solutions
         raise RileyError(f"{K.name}: phi(-1,u) = {phi} is not squarefree")
@@ -258,7 +337,19 @@ def section_at_minus_one(K: TwoBridge) -> RileySection:
         w12=UniPoly(w12),
         roots_count=len(phi_int) - 1,
         squarefree=squarefree,
+        phi_int=phi_int,
     )
+
+
+def _section_for(K: TwoBridge, section: RileySection | None) -> RileySection:
+    """The given section of K, or a freshly computed one."""
+    if section is None:
+        return section_at_minus_one(K)
+    if (section.p, section.q) != (K.p, K.q):
+        raise ValueError(
+            f"section of S({section.p},{section.q}) passed for {K.name}"
+        )
+    return section
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +369,12 @@ class RelatorReport:
         }
 
 
-def verify_relator_mod_phi(K: TwoBridge) -> RelatorReport:
+def verify_relator_mod_phi(
+    K: TwoBridge, section: RileySection | None = None
+) -> RelatorReport:
     """Check rho(w) rho(x1) = rho(x2) rho(w) entry-wise in the residue
-    ring mod phi(-1,u)."""
-    section = section_at_minus_one(K)
-    phi_int = tuple(int(c.re) for c in section.phi.coeffs)
+    ring mod phi(-1,u). `section` is K's section if already computed."""
+    phi_int = _section_for(K, section).phi_int
     _k, P = _holonomy_at_i(relator_word(K))
     A, B, C, D = P
     # rho(w)rho(x1) - rho(x2)rho(w) = i^{k+1} (P N1 - N2 P)
@@ -327,12 +419,13 @@ class LongitudeReport:
         }
 
 
-def verify_longitude_mod_phi(K: TwoBridge) -> LongitudeReport:
+def verify_longitude_mod_phi(
+    K: TwoBridge, section: RileySection | None = None
+) -> LongitudeReport:
     """Evaluate the longitude holonomy at t = -1 in the residue ring and
     report whether it is +id (the expected value, giving trace 2), -id,
-    or neither."""
-    section = section_at_minus_one(K)
-    phi_int = tuple(int(c.re) for c in section.phi.coeffs)
+    or neither. `section` is K's section if already computed."""
+    phi_int = _section_for(K, section).phi_int
     k, (A, B, C, D) = _holonomy_at_i(longitude_word(K))
     if k % 2 != 0:
         return LongitudeReport(knot=K.name, result="neither", trace_is_two=False)
@@ -378,9 +471,12 @@ class CrossCheckReport:
         }
 
 
-def cross_check_counts(K: TwoBridge) -> CrossCheckReport:
-    """Distinct roots of phi(-1,u) vs (p-1)/2 vs the metabelian census."""
-    section = section_at_minus_one(K)
+def cross_check_counts(
+    K: TwoBridge, section: RileySection | None = None
+) -> CrossCheckReport:
+    """Distinct roots of phi(-1,u) vs (p-1)/2 vs the metabelian census.
+    `section` is K's section if already computed."""
+    section = _section_for(K, section)
     # squarefree, so distinct roots = degree
     return CrossCheckReport(
         knot=K.name,
@@ -391,66 +487,93 @@ def cross_check_counts(K: TwoBridge) -> CrossCheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Display-only root isolation (Sturm bisection; exact until final rendering)
+# Display-only root isolation (Sturm isolation, dyadic refinement; exact
+# until final rendering)
 
-def _sturm_chain(p: UniPoly):
-    from .exactalg import poly_rem
-
-    chain = [p, poly_derivative(p)]
-    while not chain[-1].is_zero():
-        chain.append(-poly_rem(chain[-2], chain[-1]))
+def _sturm_chain(f: tuple) -> list:
+    """Sturm sequence f, f', -rem(f, f'), ... of an integer polynomial. Each
+    member is a positive integer multiple of the classical one, so its sign
+    at every point is the same."""
+    chain = [f, _primitive(_iderivative(f))]
+    while chain[-1]:
+        chain.append(_ineg(_primitive(_iprem(chain[-2], chain[-1]))))
     chain.pop()
     return chain
 
 
-def _sign_changes(chain, x) -> int:
-    signs = []
-    for p in chain:
-        v = p(x).re
-        if v:
-            signs.append(1 if v > 0 else -1)
+def _sign_changes(chain, n: int, m: int) -> int:
+    signs = [s for s in (_sign_at(f, n, m) for f in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def approx_real_roots(phi: UniPoly, bits: int = 50):
-    """Approximate real roots of a squarefree real polynomial, for display
-    only. Returns (floats, complex_pair_count). Isolation and bisection run
-    over exact rationals; only the final rendering is floating point."""
-    from fractions import Fraction
+    """Approximate real roots of a real polynomial, for display only.
+    Returns (floats, complex_pair_count).
 
+    phi is scaled by a positive integer to a primitive integer polynomial.
+    With B/D the root bound 1 + max|c|/|lead|, every point is an integer
+    numerator over D * 2^k, and every sign is an integer Horner evaluation.
+    Sturm counts isolate the distinct roots (bisecting [-B/D, B/D] and
+    nudging midpoints off exact roots); each isolating interval (lo, hi] is
+    then halved `bits` times by the sign of phi's squarefree part alone, a
+    zero at the midpoint going to hi. Only the final midpoint becomes a
+    float."""
     if any(c.im != 0 for c in phi.coeffs):
         raise ValueError("approx_real_roots expects a real polynomial")
     if phi.degree < 1:
         return [], 0
-    lead = abs(phi.lead.re)
-    bound = 1 + max(abs(c.re) for c in phi.coeffs) / lead
-    chain = _sturm_chain(phi)
+    den = math.lcm(*(c.re.denominator for c in phi.coeffs))
+    f = _primitive(
+        tuple(c.re.numerator * (den // c.re.denominator) for c in phi.coeffs)
+    )
+    D = abs(f[-1])
+    B = D + max(abs(c) for c in f)
+    chain = _sturm_chain(f)
+    # the squarefree part changes sign at every distinct root, and only there
+    sqf = f if len(chain[-1]) == 1 else _iquo_exact(f, chain[-1])
 
-    def count(a, b):
-        return _sign_changes(chain, a) - _sign_changes(chain, b)
+    # a point (n, k) is n / (D * 2^k)
+    def changes(x):
+        return _sign_changes(chain, x[0], D << x[1])
+
+    def sign(x):
+        return _sign_at(sqf, x[0], D << x[1])
+
+    def midpoint(x, y):
+        k = max(x[1], y[1])
+        return ((x[0] << (k - x[1])) + (y[0] << (k - y[1])), k + 1)
 
     roots = []
-    stack = [(Fraction(-bound), Fraction(bound))]
+    left, right = (-B, 0), (B, 0)
+    stack = [(left, changes(left), right, changes(right))]
     while stack:
-        a, b = stack.pop()
-        n = count(a, b)
+        a, va, b, vb = stack.pop()
+        n = va - vb
         if n == 0:
             continue
         if n == 1:
-            lo, hi = a, b
+            k = max(a[1], b[1])
+            lo, hi = a[0] << (k - a[1]), b[0] << (k - b[1])
+            m = D << k
+            # a is +-B/D or a nudged midpoint, and lo only moves to
+            # midpoints that are not roots, so lo_sign is never 0
+            lo_sign = _sign_at(sqf, lo, m)
             for _ in range(bits):
-                mid = (lo + hi) / 2
-                if count(lo, mid) == 1:
+                lo, hi, m = 2 * lo, 2 * hi, 2 * m
+                mid = (lo + hi) >> 1
+                s = _sign_at(sqf, mid, m)
+                if s == 0 or s != lo_sign:
                     hi = mid
                 else:
                     lo = mid
-            roots.append(float((lo + hi) / 2))
+            roots.append((lo + hi) / (2 * m))
             continue
-        mid = (a + b) / 2
+        mid = midpoint(a, b)
         # nudge off an exact root of phi
-        while phi(mid).re == 0:
-            mid = (a + mid) / 2
-        stack.extend([(a, mid), (mid, b)])
+        while sign(mid) == 0:
+            mid = midpoint(a, mid)
+        vm = changes(mid)
+        stack.extend([(a, va, mid, vm), (mid, vm, b, vb)])
     roots.sort()
     complex_pairs = (phi.degree - len(roots)) // 2
     return roots, complex_pairs

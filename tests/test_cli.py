@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from knotmeta import cli
 from knotmeta.cli import main
 from knotmeta.knotdata import fixture_path
-from knotmeta.riley import LongitudeReport
+from knotmeta.riley import LongitudeReport, RileyError
 
 
 @pytest.fixture
@@ -166,3 +166,104 @@ class TestSweep:
         assert len(both.output.splitlines()) - 1 == 2 * (
             len(pos.output.splitlines()) - 1
         )
+
+    def test_failing_knot_becomes_row(self, runner, monkeypatch):
+        real = cli.riley.section_at_minus_one
+
+        def failing(K):
+            if K.name == "S(7,3)":
+                raise RileyError(f"{K.name}: injected failure")
+            return real(K)
+
+        monkeypatch.setattr(cli.riley, "section_at_minus_one", failing)
+        res = runner.invoke(main, ["sweep", "--p-max", "9", "-f", "json"])
+        assert res.exit_code == 1
+        assert "S(7,3): injected failure" in res.stderr
+        rows = {r["name"]: r for r in json.loads(res.stdout)}
+        assert len(rows) == 9
+        bad = rows.pop("S(7,3)")
+        assert bad["ok"] is False
+        assert bad["error"] == "S(7,3): injected failure"
+        assert bad["relator_ok"] is None
+        assert all(r["ok"] for r in rows.values())
+
+    def test_failing_knot_in_csv_and_table(self, runner, monkeypatch):
+        def failing(K):
+            raise RileyError(f"{K.name}: injected failure")
+
+        monkeypatch.setattr(cli.riley, "section_at_minus_one", failing)
+        csv = runner.invoke(main, ["sweep", "--p-max", "3", "-f", "csv"])
+        assert csv.exit_code == 1
+        assert csv.stdout.splitlines()[1] == "S(3,1),3,1,3,,,,,"
+        table = runner.invoke(main, ["sweep", "--p-max", "3"])
+        assert table.exit_code == 1
+        assert table.stdout == "S(3,1): FAIL S(3,1): injected failure\n"
+
+
+def _twobridge(**fields):
+    return {"type": "twobridge", "name": "K", "p": 5, "q": 3, **fields}
+
+
+def _apoly(**fields):
+    terms = [{"m": 0, "l": 1, "c": 1}, {"m": 6, "l": 0, "c": 1}]
+    return {"type": "apoly", "name": "A", "terms": terms, **fields}
+
+
+class TestStrictIngest:
+    """Integer fields take JSON integers only: a bad value exits 2 with a
+    message naming the record, never a silent coercion."""
+
+    @pytest.mark.parametrize(
+        "command, record, message",
+        [
+            ("det", _twobridge(p=5.9), "p must be a JSON integer, got 5.9"),
+            ("det", _twobridge(q="3"), 'q must be a JSON integer, got "3"'),
+            ("det", _twobridge(p=True), "p must be a JSON integer, got true"),
+            (
+                "det",
+                {"type": "seifert", "name": "K", "V": [[-1.7, 1], [0, -1]]},
+                "Seifert entry must be a JSON integer, got -1.7",
+            ),
+            (
+                "meta-count",
+                {"type": "seifert", "name": "K", "V": [[-1, True], [0, -1]]},
+                "Seifert entry must be a JSON integer, got true",
+            ),
+            (
+                "apoly-analyze",
+                _apoly(terms=[{"m": 0, "l": 1, "c": 1.5}, {"m": 6, "l": 0, "c": 1}]),
+                "coefficient must be a JSON integer, got 1.5",
+            ),
+            (
+                "apoly-analyze",
+                _apoly(terms=[{"m": 0, "l": 1, "c": True}, {"m": 6, "l": 0, "c": 1}]),
+                "coefficient must be a JSON integer, got true",
+            ),
+            (
+                "apoly-analyze",
+                _apoly(terms=[{"m": 0, "l": 1.0, "c": 1}, {"m": 6, "l": 0, "c": 1}]),
+                "l-exponent must be a JSON integer, got 1.0",
+            ),
+            (
+                "apoly-analyze",
+                _apoly(p=3, q="1"),
+                'q must be a JSON integer, got "1"',
+            ),
+        ],
+    )
+    def test_rejected(self, runner, tmp_path, command, record, message):
+        path = tmp_path / "in.json"
+        good = _twobridge() if command != "apoly-analyze" else _apoly()
+        path.write_text(json.dumps([good, record]))
+        res = runner.invoke(main, [command, "-i", str(path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "error: record 1 (" in res.stderr
+        assert message in res.stderr
+
+    def test_integers_accepted(self, runner, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps([_twobridge(p=7, q=-3)]))
+        res = runner.invoke(main, ["det", "-i", str(path)])
+        assert res.exit_code == 0
+        assert res.stdout == "K: 7\n"

@@ -1,23 +1,32 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from knotmeta import riley
 from knotmeta.exactalg import (
     LB_ONE,
     LB_S,
     LB_S_INV,
     LB_U,
     LB_ZERO,
+    GaussRat,
     Mat2,
     UniPoly,
     laurent_eval_s_to_i,
+    poly_derivative,
+    poly_rem,
 )
 from knotmeta.knotdata import GroupWord, TwoBridge, all_two_bridge, relator_word
 from knotmeta.riley import (
+    _CERT_PRIME,
     RileyHolonomy,
     _content_normalize,
+    _gcd_degree_mod,
     _holonomy_at_i,
+    _iprem,
     _irem_monic,
+    _is_squarefree,
     _power_x1x2_at_i,
     approx_real_roots,
     cross_check_counts,
@@ -182,6 +191,65 @@ class TestVerifyOps:
         assert d["ok"] is True
         assert len(d["residues"]) == 4
 
+    def test_shared_section_gives_the_same_reports(self):
+        for K in all_two_bridge(11, include_negative_q=True):
+            sec = section_at_minus_one(K)
+            assert verify_relator_mod_phi(K, sec) == verify_relator_mod_phi(K)
+            assert verify_longitude_mod_phi(K, sec) == verify_longitude_mod_phi(K)
+            assert cross_check_counts(K, sec) == cross_check_counts(K)
+
+    def test_section_of_another_knot_refused(self):
+        sec = section_at_minus_one(tb(7, 3))
+        with pytest.raises(ValueError):
+            verify_relator_mod_phi(tb(7, 1), sec)
+
+    def test_section_carries_integer_phi(self):
+        sec = section_at_minus_one(tb(5, 3))
+        assert sec.phi_int == (5, 5, 1)
+        assert UniPoly(sec.phi_int) == sec.phi
+
+
+class TestSquarefreeCertificate:
+    @pytest.fixture
+    def gcd_calls(self, monkeypatch):
+        calls = []
+        exact = riley.poly_gcd
+
+        def counting(a, b):
+            calls.append((a, b))
+            return exact(a, b)
+
+        monkeypatch.setattr(riley, "poly_gcd", counting)
+        return calls
+
+    def test_cert_prime_is_prime(self):
+        P = _CERT_PRIME
+        assert P < 2**31 and all(P % d for d in range(2, 46341))
+
+    def test_squarefree_over_q_but_not_mod_prime(self, gcd_calls):
+        # u^2 - P = u^2 mod P: the modular gcd is u, the exact one is 1
+        phi = (-_CERT_PRIME, 0, 1)
+        assert _gcd_degree_mod(phi, (0, 2), _CERT_PRIME) == 1
+        assert _is_squarefree(phi)
+        assert len(gcd_calls) == 1
+
+    def test_repeated_factor_reported(self, gcd_calls):
+        # (u+1)^2 (u+2)
+        assert not _is_squarefree((2, 5, 4, 1))
+        assert len(gcd_calls) == 1
+
+    def test_modular_certificate_suffices_on_sections(self, gcd_calls):
+        for K in all_two_bridge(21, include_negative_q=True):
+            assert section_at_minus_one(K).squarefree
+        assert gcd_calls == []
+
+    def test_gcd_degree_mod(self):
+        # (u+1)(u+2) and (u+1)(u+3) share u+1 over any field
+        assert _gcd_degree_mod((2, 3, 1), (3, 4, 1), 101) == 1
+        # u+1 and u+3 are coprime unless the prime divides 2
+        assert _gcd_degree_mod((1, 1), (3, 1), 101) == 0
+        assert _gcd_degree_mod((1, 1), (3, 1), 2) == 1
+
 
 class TestCrossCheck:
     def test_s15_11(self):
@@ -219,10 +287,89 @@ class TestApproxRealRoots:
         assert approx_real_roots(up(7)) == ([], 0)
 
     def test_rejects_complex_coefficients(self):
-        from knotmeta.exactalg import GaussRat
-
         with pytest.raises(ValueError):
             approx_real_roots(UniPoly((GaussRat(0, 1), GaussRat(1))))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            # 6u^2 + 10u - 7 scaled by 1/2: root bound 8/3, not dyadic
+            (Fraction(-7, 2), 5, 3),
+            # -(2/3)u^3 + u^2 + (5/7)u - 1/5: negative leading coefficient
+            (Fraction(-1, 5), Fraction(5, 7), 1, Fraction(-2, 3)),
+            # (u - 1/3)^2 (u + 2): a double root, so phi never changes sign there
+            (Fraction(2, 9), Fraction(-11, 9), Fraction(4, 3), 1),
+            # (u^2 + 1)(7u - 3)(5u + 11): one complex pair
+            (-33, 34, 2, 34, 35),
+        ],
+    )
+    def test_matches_fraction_bisection(self, coeffs):
+        phi = UniPoly(coeffs)
+        assert approx_real_roots(phi) == fraction_bisection_roots(phi)
+
+    def test_matches_fraction_bisection_random(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            deg = rng.randint(1, 7)
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]
+            coeffs.append(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)))
+            phi = UniPoly(coeffs)
+            assert approx_real_roots(phi) == fraction_bisection_roots(phi), coeffs
+
+    def test_sturm_remainder_is_a_positive_multiple(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            a = tuple(rng.randint(-20, 20) for _ in range(6)) + (rng.randint(1, 9),)
+            b = tuple(rng.randint(-20, 20) for _ in range(3)) + (rng.choice((-7, -2, 3)),)
+            exact = poly_rem(UniPoly(a), UniPoly(b))
+            scaled = UniPoly(_iprem(a, b))
+            if exact.is_zero():
+                assert scaled.is_zero()
+                continue
+            ratio = scaled.lead / exact.lead
+            assert ratio.im == 0 and ratio.re > 0
+            assert scaled == exact * ratio
+
+
+def fraction_bisection_roots(phi: UniPoly, bits: int = 50):
+    """Reference: Sturm isolation and bisection over Fractions, evaluating
+    the whole chain at every step."""
+    chain = [phi, poly_derivative(phi)]
+    while not chain[-1].is_zero():
+        chain.append(-poly_rem(chain[-2], chain[-1]))
+    chain.pop()
+
+    def changes(x):
+        signs = [1 if v > 0 else -1 for v in (f(x).re for f in chain) if v]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    def count(a, b):
+        return changes(a) - changes(b)
+
+    bound = 1 + max(abs(c.re) for c in phi.coeffs) / abs(phi.lead.re)
+    roots = []
+    stack = [(-bound, bound)]
+    while stack:
+        a, b = stack.pop()
+        n = count(a, b)
+        if n == 0:
+            continue
+        if n == 1:
+            lo, hi = a, b
+            for _ in range(bits):
+                mid = (lo + hi) / 2
+                if count(lo, mid) == 1:
+                    hi = mid
+                else:
+                    lo = mid
+            roots.append(float((lo + hi) / 2))
+            continue
+        mid = (a + b) / 2
+        while phi(mid).re == 0:
+            mid = (a + mid) / 2
+        stack.extend([(a, mid), (mid, b)])
+    roots.sort()
+    return roots, (phi.degree - len(roots)) // 2
 
 
 class TestErrorPaths:
