@@ -8,10 +8,21 @@ nothing here computes them from a character variety.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import GR_ZERO, GaussRat, I_POWERS, UniPoly, poly_gcd
+from .exactalg import (
+    GaussRat,
+    _iadd,
+    _ishift,
+    _isub,
+    _trim,
+    degree,
+    poly_derivative,
+    poly_gcd,
+    poly_str,
+)
 from .knotdata import json_int
 
 
@@ -19,24 +30,18 @@ class APolyError(ValueError):
     pass
 
 
-def _poly_in_l(pairs) -> UniPoly:
-    """UniPoly from (l-exponent, coefficient) pairs."""
-    if not pairs:
-        return UniPoly()
-    out = [GR_ZERO] * (max(e for e, _c in pairs) + 1)
+def _poly_in_l(pairs) -> tuple:
+    """Integer polynomial in l from nonempty (l-exponent, coefficient)
+    pairs."""
+    out = [0] * (max(e for e, _c in pairs) + 1)
     for e, c in pairs:
-        out[e] = out[e] + GaussRat.coerce(c)
-    return UniPoly(out)
+        out[e] += c
+    return _trim(out)
 
 
-_L_MINUS_1 = UniPoly.from_ints(-1, 1)
-_L_PLUS_1 = UniPoly.from_ints(1, 1)
-_L = UniPoly.from_ints(0, 1)
-
-
-def _lstr(p: UniPoly) -> str:
-    """Render a polynomial in the variable l (UniPoly prints u)."""
-    return str(p).replace("u", "l")
+def _lstr(p: tuple) -> str:
+    """Render a polynomial in the variable l (poly_str prints u)."""
+    return poly_str(p).replace("u", "l")
 
 
 @dataclass(frozen=True)
@@ -120,10 +125,10 @@ class APoly:
         return [(me, le) for (me, le), _c in self.terms]
 
 
-def eval_at_sqrt_minus_one(A: APoly) -> UniPoly:
+def eval_at_sqrt_minus_one(A: APoly) -> tuple:
     """A(sqrt(-1), l), exactly. Even m-powers make every coefficient a
     rational integer (i^{2k} = (-1)^k)."""
-    return _poly_in_l([(le, I_POWERS[me % 4] * c) for (me, le), c in A.terms])
+    return _poly_in_l([(le, (-1) ** (me // 2) * c) for (me, le), c in A.terms])
 
 
 def vertical_edge_check(A: APoly) -> bool:
@@ -139,10 +144,10 @@ def vertical_edge_check(A: APoly) -> bool:
     if not has_edge:
         # no vertical edge forces deg_l to survive the m = sqrt(-1) cut
         ev = eval_at_sqrt_minus_one(A)
-        if ev.degree != A.deg_l:
+        if degree(ev) != A.deg_l:
             raise APolyError(
                 f"{A.name}: no vertical edge but deg_l dropped from "
-                f"{A.deg_l} to {ev.degree} at m = sqrt(-1)"
+                f"{A.deg_l} to {degree(ev)} at m = sqrt(-1)"
             )
     return has_edge
 
@@ -154,103 +159,64 @@ class FactorProfile:
     a: int
     b: int
     c: int
-    residual: UniPoly
+    residual: tuple
     is_zero: bool = False
 
-    def reconstruct(self) -> UniPoly:
+    def reconstruct(self) -> tuple:
         if self.is_zero:
-            return UniPoly()
+            return ()
         out = self.residual
         for _ in range(self.a):
-            out = out * _L
+            out = _ishift(out)
         for _ in range(self.b):
-            out = out * _L_MINUS_1
+            out = _isub(_ishift(out), out)
         for _ in range(self.c):
-            out = out * _L_PLUS_1
+            out = _iadd(_ishift(out), out)
         return out
 
 
-def _divide_out(p: UniPoly, root: GaussRat):
-    """Multiplicity of (l - root) in p, with the cofactor."""
-    from .exactalg import poly_divmod
-
-    factor = UniPoly((-root, GaussRat(1)))
+def _divide_out(p: tuple, r: int):
+    """Multiplicity of (l - r) in p, with the cofactor, by synthetic
+    division over Z."""
     mult = 0
-    while not p.is_zero() and not p(root):
-        p = poly_divmod(p, factor)[0]
+    while p:
+        # Horner: the partial sums are the quotient's coefficients, top
+        # first, and the last one is the remainder p(r)
+        acc, quot = 0, []
+        for c in reversed(p):
+            acc = acc * r + c
+            quot.append(acc)
+        if quot.pop():
+            break
+        p = tuple(reversed(quot))
         mult += 1
     return mult, p
 
 
 def factor_profile(A: APoly) -> FactorProfile:
     ev = eval_at_sqrt_minus_one(A)
-    if ev.is_zero():
-        return FactorProfile(a=0, b=0, c=0, residual=UniPoly(), is_zero=True)
-    a = 0
-    coeffs = list(ev.coeffs)
-    while coeffs and not coeffs[0]:
-        coeffs.pop(0)
-        a += 1
-    p = UniPoly(coeffs)
-    b, p = _divide_out(p, GaussRat(1))
-    c, p = _divide_out(p, GaussRat(-1))
+    if not ev:
+        return FactorProfile(a=0, b=0, c=0, residual=(), is_zero=True)
+    a = next(k for k, x in enumerate(ev) if x)
+    b, p = _divide_out(ev[a:], 1)
+    c, p = _divide_out(p, -1)
     return FactorProfile(a=a, b=b, c=c, residual=p)
 
 
-def _rat_sqrt(x: Fraction):
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = _isqrt_exact(n), _isqrt_exact(d)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int):
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def _gauss_sqrt(z: GaussRat):
-    """Exact square root of a Gaussian rational inside Q(i), if one exists."""
-    if not z:
-        return GaussRat(0)
-    if z.im == 0:
-        r = _rat_sqrt(z.re)
-        if r is not None:
-            return GaussRat(r)
-        r = _rat_sqrt(-z.re)
-        if r is not None:
-            return GaussRat(0, r)
-        return None
-    n = _rat_sqrt(z.norm())
-    if n is None:
-        return None
-    re2 = (z.re + n) / 2
-    re = _rat_sqrt(re2)
-    if re is None or re == 0:
-        return None
-    im = z.im / (2 * re)
-    cand = GaussRat(re, im)
-    return cand if cand * cand == z else None
-
-
-def _residual_roots(p: UniPoly):
-    """Exact roots in Q(i) of a residual of degree <= 2, else None."""
-    if p.degree == 1:
-        c0, c1 = p.coeffs
-        return [-c0 / c1]
-    if p.degree == 2:
-        c0, c1, c2 = p.coeffs
-        disc = c1 * c1 - GaussRat(4) * c2 * c0
-        root = _gauss_sqrt(disc)
-        if root is None:
+def _residual_roots(p: tuple):
+    """Exact roots in Q(i) of an integer residual of degree <= 2, else
+    None. A quadratic's roots lie in Q(i) iff |disc| is a square."""
+    if len(p) == 2:
+        c0, c1 = p
+        return [GaussRat(Fraction(-c0, c1))]
+    if len(p) == 3:
+        c0, c1, c2 = p
+        disc = c1 * c1 - 4 * c2 * c0
+        r = math.isqrt(abs(disc))
+        if r * r != abs(disc):
             return None
-        two_a = GaussRat(2) * c2
-        return [(-c1 + root) / two_a, (-c1 - root) / two_a]
+        root = GaussRat(r) if disc >= 0 else GaussRat(0, r)
+        return [(root - c1) / (2 * c2), (-root - c1) / (2 * c2)]
     return None
 
 
@@ -286,16 +252,16 @@ def proposition_criteria(A: APoly) -> list:
     if prof.c > 0:
         omegas.append(GaussRat(-1))
     residual_desc = None
-    if prof.residual.degree >= 1:
+    if len(prof.residual) > 1:
         roots = _residual_roots(prof.residual)
         if roots is not None:
             omegas.extend(roots)
         else:
             residual_desc = (
-                f"residual factor of degree {prof.residual.degree}: "
+                f"residual factor of degree {len(prof.residual) - 1}: "
                 f"{_lstr(prof.residual)}"
             )
-    has_other_factor = prof.c > 0 or prof.residual.degree >= 1
+    has_other_factor = prof.c > 0 or len(prof.residual) > 1
     if has_other_factor:
         if A.small_flag:
             for w in omegas:
@@ -369,7 +335,7 @@ def degree_bound_check(A: APoly) -> DegreeBoundReport:
         not prof.is_zero
         and prof.a == 0
         and prof.c == 0
-        and prof.residual.degree == 0
+        and len(prof.residual) == 1
     )
     slack = bound - A.deg_l
     report = DegreeBoundReport(
@@ -425,14 +391,12 @@ def squarefree_in_l_warning(A: APoly) -> str | None:
     for (me, le), c in A.terms:
         by_l[le] = by_l.get(le, 0) + c * (3 ** me)
     p = _poly_in_l(list(by_l.items()))
-    if p.degree < 1:
+    if len(p) < 2:
         return None
-    from .exactalg import poly_derivative
-
     g = poly_gcd(p, poly_derivative(p))
-    if g.degree != 0:
+    if len(g) > 1:
         return (
-            f"{A.name}: A(3, l) has a repeated factor (gcd degree {g.degree}); "
+            f"{A.name}: A(3, l) has a repeated factor (gcd degree {len(g) - 1}); "
             "fixture may not be in normal form"
         )
     return None
@@ -442,7 +406,7 @@ def squarefree_in_l_warning(A: APoly) -> str | None:
 class AnalyzerReport:
     name: str
     deg_l: int
-    eval_at_i: UniPoly
+    eval_at_i: tuple
     profile: FactorProfile
     has_vertical_edge: bool
     bound: DegreeBoundReport

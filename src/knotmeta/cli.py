@@ -15,6 +15,7 @@ import click
 from . import apoly as apoly_mod
 from . import metabelian, riley
 from .apoly import APolyError
+from .exactalg import poly_str
 from .intlinalg import IntLinAlgError
 from .knotdata import (
     KnotDataError,
@@ -186,10 +187,10 @@ def tb_riley_cmd(p, q, roots, fmt):
         "name": K.name,
         "p": sec.p,
         "q": sec.q,
-        "phi": str(sec.phi),
+        "phi": poly_str(sec.phi),
         "deg_phi": sec.roots_count,
-        "deg_w11": int(sec.w11.degree),
-        "deg_w12": int(sec.w12.degree),
+        "deg_w11": len(sec.w11) - 1,
+        "deg_w12": len(sec.w12) - 1,
         "squarefree": sec.squarefree,
     }
     if roots:
@@ -218,8 +219,9 @@ def tb_verify_cmd(p, q, general_t, fmt):
     """Verify the relator and longitude identities of S(p,q) mod phi(-1,u)."""
     K = _two_bridge_arg(p, q)
     try:
-        rel = riley.verify_relator_mod_phi(K)
-        lon = riley.verify_longitude_mod_phi(K)
+        sec = riley.section_at_minus_one(K)
+        rel = riley.verify_relator_mod_phi(K, sec)
+        lon = riley.verify_longitude_mod_phi(K, sec)
         gen = riley.verify_relator_general_t(K) if general_t else None
     except riley.RileyError as exc:
         click.echo(f"verification failure: {exc}", err=True)

@@ -1,12 +1,18 @@
-"""Exact arithmetic kernel: Gaussian rationals, dense univariate polynomials
-over Q(i), the sparse bivariate Laurent ring Z[s^{+-1}][u], generic 2x2
-matrices, residue rings Q(i)[u]/(phi), and formal sums of roots of unity.
+"""Exact arithmetic kernel: dense univariate polynomials over Z, the sparse
+bivariate Laurent ring Z[s^{+-1}][u], Gaussian rationals, generic 2x2
+matrices, and formal sums of roots of unity.
+
+A polynomial over Z is a tuple of int coefficients, constant term first,
+with no trailing zeros; () is the zero polynomial. Every univariate
+computation in the package (phi(-1,u), its residues and roots, and
+A(sqrt(-1), l)) runs on these tuples.
 
 Everything here is immutable and pure; no floating point anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -40,15 +46,6 @@ class GaussRat:
             return cls(v)
         raise TypeError(f"cannot coerce {type(v).__name__} to GaussRat")
 
-    def one_like(self) -> "GaussRat":
-        return GR_ONE
-
-    def zero_like(self) -> "GaussRat":
-        return GR_ZERO
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GaussRat(other)
@@ -63,16 +60,11 @@ class GaussRat:
         other = GaussRat.coerce(other)
         return GaussRat(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return GaussRat(-self.re, -self.im)
 
     def __sub__(self, other):
         return self + (-GaussRat.coerce(other))
-
-    def __rsub__(self, other):
-        return GaussRat.coerce(other) + (-self)
 
     def __mul__(self, other):
         other = GaussRat.coerce(other)
@@ -81,28 +73,14 @@ class GaussRat:
             self.re * other.im + self.im * other.re,
         )
 
-    __rmul__ = __mul__
-
-    def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def inv(self) -> "GaussRat":
-        n = self.norm()
+        n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("inverse of zero GaussRat")
         return GaussRat(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         return self * GaussRat.coerce(other).inv()
-
-    def __rtruediv__(self, other):
-        return GaussRat.coerce(other) * self.inv()
-
-    def is_rational(self) -> bool:
-        return self.im == 0
 
     def __str__(self):
         if not self.im:
@@ -116,217 +94,164 @@ class GaussRat:
         return f"GaussRat({self.re!r}, {self.im!r})"
 
 
-GR_ZERO = GaussRat(0)
-GR_ONE = GaussRat(1)
-GR_I = GaussRat(0, 1)
+# ---------------------------------------------------------------------------
+# Integer polynomial kernel
 
-# i^k for k mod 4
-I_POWERS = (GR_ONE, GR_I, GaussRat(-1), GaussRat(0, -1))
-
-
-class UniPoly:
-    """Dense univariate polynomial in u over the Gaussian rationals.
-
-    coeffs[k] is the coefficient of u^k; the empty tuple is the zero
-    polynomial and its degree is the -inf sentinel.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [GaussRat.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def from_ints(cls, *coeffs) -> "UniPoly":
-        return cls(coeffs)
-
-    @classmethod
-    def coerce(cls, v) -> "UniPoly":
-        if isinstance(v, UniPoly):
-            return v
-        return cls((GaussRat.coerce(v),))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lead(self) -> GaussRat:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def one_like(self) -> "UniPoly":
-        return UP_ONE
-
-    def zero_like(self) -> "UniPoly":
-        return UP_ZERO
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = UniPoly.coerce(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        other = UniPoly.coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-UniPoly.coerce(other))
-
-    def __rsub__(self, other):
-        return UniPoly.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            c = GaussRat.coerce(other)
-            return UniPoly(tuple(a * c for a in self.coeffs))
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UP_ZERO
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for k, b in enumerate(other.coeffs):
-                out[j + k] = out[j + k] + a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x) -> GaussRat:
-        x = GaussRat.coerce(x)
-        acc = GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def monic(self) -> "UniPoly":
-        if not self.coeffs:
-            raise ValueError("cannot make the zero polynomial monic")
-        inv = self.lead.inv()
-        return UniPoly(tuple(c * inv for c in self.coeffs))
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by u^k."""
-        if not self.coeffs:
-            return UP_ZERO
-        return UniPoly((GR_ZERO,) * k + self.coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                parts.append(f"({c})")
-            elif k == 1:
-                parts.append(f"({c})*u")
-            else:
-                parts.append(f"({c})*u^{k}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"UniPoly({self})"
+def _trim(c: list) -> tuple:
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
 
 
-UP_ZERO = UniPoly()
-UP_ONE = UniPoly((GR_ONE,))
-UP_U = UniPoly((GR_ZERO, GR_ONE))
+def degree(a: tuple):
+    """Degree of a, with the -inf sentinel for the zero polynomial."""
+    return len(a) - 1 if a else NEG_INF
 
 
-def poly_add(p: UniPoly, q: UniPoly) -> UniPoly:
-    return p + q
+def _iadd(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, x in enumerate(b):
+        out[k] += x
+    return _trim(out)
 
 
-def poly_mul(p: UniPoly, q: UniPoly) -> UniPoly:
-    return p * q
+def _ineg(a: tuple) -> tuple:
+    return tuple(-x for x in a)
 
 
-def poly_derivative(p: UniPoly) -> UniPoly:
-    return UniPoly(tuple(c * k for k, c in enumerate(p.coeffs) if k >= 1))
+def _ishift(a: tuple) -> tuple:
+    """Multiply by the variable."""
+    return (0,) + a if a else ()
 
 
-def poly_divmod(p: UniPoly, d: UniPoly) -> tuple[UniPoly, UniPoly]:
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if p.degree < d.degree:
-        return UP_ZERO, p
-    rem = list(p.coeffs)
-    dd = d.degree
-    inv_lead = d.lead.inv()
-    quot = [GR_ZERO] * (len(rem) - dd)
-    for k in range(len(rem) - 1, dd - 1, -1):
+def _isub(a: tuple, b: tuple) -> tuple:
+    return _iadd(a, _ineg(b))
+
+
+def poly_derivative(a: tuple) -> tuple:
+    return tuple(k * x for k, x in enumerate(a))[1:]
+
+
+def _irem_monic(a: tuple, phi: tuple) -> tuple:
+    """Remainder of a by a monic integer polynomial phi; stays over Z."""
+    assert phi and phi[-1] == 1
+    d = len(phi) - 1
+    rem = list(a)
+    for k in range(len(rem) - 1, d - 1, -1):
         c = rem[k]
         if not c:
             continue
-        f = c * inv_lead
-        quot[k - dd] = f
-        for j, dc in enumerate(d.coeffs):
-            rem[k - dd + j] = rem[k - dd + j] - f * dc
-    return UniPoly(quot), UniPoly(rem[:dd])
+        for j in range(d + 1):
+            rem[k - d + j] -= c * phi[j]
+    return _trim(rem[: d])
 
 
-def poly_rem(p: UniPoly, phi: UniPoly) -> UniPoly:
-    return poly_divmod(p, phi)[1]
+def _iprem(a: tuple, b: tuple) -> tuple:
+    """A positive integer multiple of the remainder of a by b over Q: each
+    elimination step scales by |lc(b)|, never by a negative number, so the
+    result has the sign of the true remainder at every point."""
+    d = len(b) - 1
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    rem = list(a)
+    while len(rem) > d:
+        c = rem.pop() * sign
+        if c:
+            s = len(rem) - d
+            rem = [scale * x for x in rem]
+            for j in range(d):
+                rem[s + j] -= c * b[j]
+    return _trim(rem)
 
 
-def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd over Q(i) by the Euclidean algorithm."""
-    if p.is_zero() and q.is_zero():
+def _iquo_exact(a: tuple, b: tuple) -> tuple:
+    """a / b for a primitive b that divides a over Q; the quotient is then
+    integral (Gauss's lemma)."""
+    d = len(b) - 1
+    rem = list(a)
+    quot = [0] * (len(a) - d)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + d] // b[-1]
+        for j in range(d + 1):
+            rem[k + j] -= c * b[j]
+    assert not any(rem), "inexact integer polynomial division"
+    return tuple(quot)
+
+
+def _primitive(a: tuple) -> tuple:
+    """a divided by its positive content; every sign is kept."""
+    g = math.gcd(*a)
+    return tuple(x // g for x in a) if g > 1 else a
+
+
+def _content_normalize(a: tuple) -> tuple:
+    """Divide out the integer content and make the leading coefficient
+    positive."""
+    a = _primitive(a)
+    return _ineg(a) if a and a[-1] < 0 else a
+
+
+def _sign_at(f: tuple, n: int, m: int) -> int:
+    """Sign of f(n/m) for m > 0, from the homogeneous Horner form
+    m^deg(f) * f(n/m) = sum f_j n^j m^(deg(f) - j)."""
+    acc = f[-1]
+    m_pow = 1
+    for c in f[-2::-1]:
+        m_pow *= m
+        acc = acc * n + c * m_pow
+    return (acc > 0) - (acc < 0)
+
+
+def _gcd_degree_mod(a: tuple, b: tuple, P: int) -> int:
+    """Degree of gcd(a, b) over Z/P by the Euclidean algorithm (-1 for
+    gcd(0, 0))."""
+    a = _trim([x % P for x in a])
+    b = _trim([x % P for x in b])
+    while b:
+        inv = pow(b[-1], -1, P)
+        d = len(b) - 1
+        rem = list(a)
+        while len(rem) > d:
+            c = rem.pop() * inv % P
+            if c:
+                s = len(rem) - d
+                for j in range(d):
+                    rem[s + j] = (rem[s + j] - c * b[j]) % P
+        a, b = b, _trim(rem)
+    return len(a) - 1
+
+
+def poly_gcd(a: tuple, b: tuple) -> tuple:
+    """gcd over Q of two integer polynomials, content-free with a positive
+    leading coefficient, by the primitive pseudo-remainder sequence."""
+    if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, poly_rem(a, b)
-    return a.monic()
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_iprem(a, b))
+    return _content_normalize(a)
 
 
-def poly_xgcd(p: UniPoly, q: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Return (g, a, b) with a*p + b*q = g, g the monic gcd."""
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    r0, r1 = p, q
-    a0, a1 = UP_ONE, UP_ZERO
-    b0, b1 = UP_ZERO, UP_ONE
-    while not r1.is_zero():
-        quot, rem = poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        a0, a1 = a1, a0 - quot * a1
-        b0, b1 = b1, b0 - quot * b1
-    inv = r0.lead.inv()
-    return r0 * inv, a0 * inv, b0 * inv
+def poly_str(a: tuple) -> str:
+    """Render as "(c_n)*u^n + ... + (c_1)*u + (c_0)", zero terms omitted."""
+    if not a:
+        return "0"
+    parts = []
+    for k in range(len(a) - 1, -1, -1):
+        c = a[k]
+        if not c:
+            continue
+        if k == 0:
+            parts.append(f"({c})")
+        elif k == 1:
+            parts.append(f"({c})*u")
+        else:
+            parts.append(f"({c})*u^{k}")
+    return " + ".join(parts)
 
 
 class LaurentBiPoly:
@@ -360,12 +285,6 @@ class LaurentBiPoly:
     @classmethod
     def monomial(cls, c: int, s_exp: int, u_exp: int = 0) -> "LaurentBiPoly":
         return cls({(s_exp, u_exp): c})
-
-    def one_like(self) -> "LaurentBiPoly":
-        return LB_ONE
-
-    def zero_like(self) -> "LaurentBiPoly":
-        return LB_ZERO
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -448,14 +367,15 @@ class LaurentBiPoly:
             {(se, 0): c for (se, u), c in self.terms.items() if u == ue}
         )
 
-    def eval_s_to_i(self) -> UniPoly:
-        """Substitute s -> sqrt(-1) exactly, yielding a polynomial in u."""
-        if not self.terms:
-            return UP_ZERO
-        out = [GR_ZERO] * (self.u_degree() + 1)
+    def eval_s_to_i(self) -> tuple:
+        """Substitute s -> sqrt(-1) exactly, yielding an integer polynomial
+        in u; s^se = (-1)^(se/2), so every s-exponent must be even."""
+        if not self.s_exponents_all_even():
+            raise ValueError("odd s-exponent: the value at s = i is not real")
+        out = [0] * (self.u_degree() + 1) if self.terms else []
         for (se, ue), c in self.terms.items():
-            out[ue] = out[ue] + I_POWERS[se % 4] * c
-        return UniPoly(out)
+            out[ue] += c if se % 4 == 0 else -c
+        return _trim(out)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -484,14 +404,6 @@ LB_S_INV = LaurentBiPoly.monomial(1, -1)
 LB_U = LaurentBiPoly({(0, 1): 1})
 
 
-def laurent_mul(p: LaurentBiPoly, q: LaurentBiPoly) -> LaurentBiPoly:
-    return p * q
-
-
-def laurent_eval_s_to_i(p: LaurentBiPoly) -> UniPoly:
-    return p.eval_s_to_i()
-
-
 def laurent_pseudo_rem_u(p: LaurentBiPoly, phi: LaurentBiPoly) -> LaurentBiPoly:
     """Pseudo-remainder of p by phi, viewed as polynomials in u.
 
@@ -510,79 +422,6 @@ def laurent_pseudo_rem_u(p: LaurentBiPoly, phi: LaurentBiPoly) -> LaurentBiPoly:
         shift = LaurentBiPoly({(0, rd - d): 1})
         r = lc * r - rlc * shift * phi
     return r
-
-
-class Residue:
-    """Element of the quotient ring Q(i)[u]/(modulus)."""
-
-    __slots__ = ("poly", "modulus")
-
-    def __init__(self, poly: UniPoly, modulus: UniPoly):
-        if modulus.is_zero():
-            raise ZeroDivisionError("zero modulus")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "poly", poly_rem(UniPoly.coerce(poly), modulus))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Residue is immutable")
-
-    def _wrap(self, p) -> "Residue":
-        return Residue(p, self.modulus)
-
-    def one_like(self) -> "Residue":
-        return self._wrap(UP_ONE)
-
-    def zero_like(self) -> "Residue":
-        return self._wrap(UP_ZERO)
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __bool__(self):
-        return bool(self.poly)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat, UniPoly)):
-            other = self._wrap(UniPoly.coerce(other))
-        if not isinstance(other, Residue):
-            return NotImplemented
-        return self.modulus == other.modulus and self.poly == other.poly
-
-    def __hash__(self):
-        return hash((self.poly, self.modulus))
-
-    def __add__(self, other):
-        if isinstance(other, Residue):
-            other = other.poly
-        return self._wrap(self.poly + UniPoly.coerce(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._wrap(-self.poly)
-
-    def __sub__(self, other):
-        if isinstance(other, Residue):
-            other = other.poly
-        return self._wrap(self.poly - UniPoly.coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Residue):
-            other = other.poly
-        return self._wrap(self.poly * UniPoly.coerce(other))
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "Residue":
-        g, a, _b = poly_xgcd(self.poly, self.modulus)
-        if g.degree != 0:
-            raise ZeroDivisionError(
-                f"non-invertible residue {self.poly} mod {self.modulus}"
-            )
-        return self._wrap(a * g.lead.inv())
-
-    def __repr__(self):
-        return f"Residue({self.poly} mod {self.modulus})"
 
 
 class RootUnitySum:
@@ -617,12 +456,6 @@ class RootUnitySum:
     @classmethod
     def const(cls, c: int) -> "RootUnitySum":
         return cls({Fraction(0): c})
-
-    def one_like(self) -> "RootUnitySum":
-        return RootUnitySum.const(1)
-
-    def zero_like(self) -> "RootUnitySum":
-        return RootUnitySum()
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -738,9 +571,6 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def __neg__(self):
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
     def __sub__(self, other):
         return Mat2(
             self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
@@ -752,28 +582,8 @@ class Mat2:
     def trace(self):
         return self.a + self.d
 
-    def scaled(self, c) -> "Mat2":
-        return Mat2(self.a * c, self.b * c, self.c * c, self.d * c)
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
     def __repr__(self):
         return f"Mat2([[{self.a}, {self.b}], [{self.c}, {self.d}]])"
-
-
-def mat2_mul(A: Mat2, B: Mat2) -> Mat2:
-    return A * B
-
-
-def mat2_inv_sl2(A: Mat2) -> Mat2:
-    """Inverse via the adjugate. Requires det(A) = 1, or an invertible
-    determinant in a ring providing .inv() (e.g. Residue)."""
-    det = A.det()
-    adj = Mat2(A.d, -A.b, -A.c, A.a)
-    one = det.one_like() if hasattr(det, "one_like") else 1
-    if det == one:
-        return adj
-    if hasattr(det, "inv"):
-        return adj.scaled(det.inv())
-    raise ValueError(f"matrix determinant {det} is not 1; cannot invert")

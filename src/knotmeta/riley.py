@@ -8,15 +8,14 @@ At t = -1 every generator image is i times an involutive integer matrix:
     rho(x2) = i*N2,  N2 = [[1,0],[-u,-1]],   N1^2 = N2^2 = id,
 
 so the holonomy of any word is i^sigma times a product of N-matrices with
-integer polynomial entries. All t = -1 computation runs over plain integer
-coefficient tuples: holonomy, the squarefree certificate, residues mod phi
-and the display roots. The Laurent route (word_holonomy + eval_s_to_i) is
-kept as the independent cross-check.
+integer polynomial entries. All t = -1 computation runs on the integer
+coefficient tuples of exactalg's kernel: holonomy, the squarefree
+certificate, residues mod phi and the display roots. The Laurent route
+(word_holonomy + eval_s_to_i) is kept as the independent cross-check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .exactalg import (
@@ -27,10 +26,21 @@ from .exactalg import (
     LB_ZERO,
     LaurentBiPoly,
     Mat2,
-    UniPoly,
+    _content_normalize,
+    _gcd_degree_mod,
+    _iadd,
+    _ineg,
+    _iprem,
+    _iquo_exact,
+    _irem_monic,
+    _ishift,
+    _isub,
+    _primitive,
+    _sign_at,
     laurent_pseudo_rem_u,
     poly_derivative,
     poly_gcd,
+    poly_str,
 )
 from .knotdata import GroupWord, TwoBridge, longitude_word, relator_word
 from .metabelian import count_metabelian
@@ -83,132 +93,10 @@ def riley_polynomial(K: TwoBridge) -> LaurentBiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomial kernel. A polynomial over Z is a tuple of coefficients,
-# constant term first, with no trailing zeros; () is the zero polynomial.
+# The squarefree certificate
 
-def _trim(c: list) -> tuple:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _iadd(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, x in enumerate(b):
-        out[k] += x
-    return _trim(out)
-
-
-def _ineg(a: tuple) -> tuple:
-    return tuple(-x for x in a)
-
-
-def _ishift(a: tuple) -> tuple:
-    """Multiply by u."""
-    return (0,) + a if a else ()
-
-
-def _isub(a: tuple, b: tuple) -> tuple:
-    return _iadd(a, _ineg(b))
-
-
-def _iderivative(a: tuple) -> tuple:
-    return tuple(k * x for k, x in enumerate(a))[1:]
-
-
-def _irem_monic(a: tuple, phi: tuple) -> tuple:
-    """Remainder of a by a monic integer polynomial phi; stays over Z."""
-    assert phi and phi[-1] == 1
-    d = len(phi) - 1
-    rem = list(a)
-    for k in range(len(rem) - 1, d - 1, -1):
-        c = rem[k]
-        if not c:
-            continue
-        for j in range(d + 1):
-            rem[k - d + j] -= c * phi[j]
-    return _trim(rem[: d])
-
-
-def _iprem(a: tuple, b: tuple) -> tuple:
-    """A positive integer multiple of the remainder of a by b over Q: each
-    elimination step scales by |lc(b)|, never by a negative number, so the
-    result has the sign of the true remainder at every point."""
-    d = len(b) - 1
-    scale = abs(b[-1])
-    sign = 1 if b[-1] > 0 else -1
-    rem = list(a)
-    while len(rem) > d:
-        c = rem.pop() * sign
-        if c:
-            s = len(rem) - d
-            rem = [scale * x for x in rem]
-            for j in range(d):
-                rem[s + j] -= c * b[j]
-    return _trim(rem)
-
-
-def _iquo_exact(a: tuple, b: tuple) -> tuple:
-    """a / b for a primitive b that divides a over Q; the quotient is then
-    integral (Gauss's lemma)."""
-    d = len(b) - 1
-    rem = list(a)
-    quot = [0] * (len(a) - d)
-    for k in range(len(quot) - 1, -1, -1):
-        c = quot[k] = rem[k + d] // b[-1]
-        for j in range(d + 1):
-            rem[k + j] -= c * b[j]
-    assert not any(rem), "inexact integer polynomial division"
-    return tuple(quot)
-
-
-def _primitive(a: tuple) -> tuple:
-    """a divided by its positive content; every sign is kept."""
-    g = math.gcd(*a)
-    return tuple(x // g for x in a) if g > 1 else a
-
-
-def _content_normalize(a: tuple) -> tuple:
-    """Divide out the integer content and make the leading coefficient
-    positive."""
-    a = _primitive(a)
-    return _ineg(a) if a and a[-1] < 0 else a
-
-
-def _sign_at(f: tuple, n: int, m: int) -> int:
-    """Sign of f(n/m) for m > 0, from the homogeneous Horner form
-    m^deg(f) * f(n/m) = sum f_j n^j m^(deg(f) - j)."""
-    acc = f[-1]
-    m_pow = 1
-    for c in f[-2::-1]:
-        m_pow *= m
-        acc = acc * n + c * m_pow
-    return (acc > 0) - (acc < 0)
-
-
-# The squarefree certificate reduces mod this word-size prime, 2^31 - 1.
+# gcd(phi, phi') is reduced mod this word-size prime, 2^31 - 1.
 _CERT_PRIME = 2_147_483_647
-
-
-def _gcd_degree_mod(a: tuple, b: tuple, P: int) -> int:
-    """Degree of gcd(a, b) over Z/P by the Euclidean algorithm (-1 for
-    gcd(0, 0))."""
-    a = _trim([x % P for x in a])
-    b = _trim([x % P for x in b])
-    while b:
-        inv = pow(b[-1], -1, P)
-        d = len(b) - 1
-        rem = list(a)
-        while len(rem) > d:
-            c = rem.pop() * inv % P
-            if c:
-                s = len(rem) - d
-                for j in range(d):
-                    rem[s + j] = (rem[s + j] - c * b[j]) % P
-        a, b = b, _trim(rem)
-    return len(a) - 1
 
 
 def _is_squarefree(phi: tuple) -> bool:
@@ -219,10 +107,10 @@ def _is_squarefree(phi: tuple) -> bool:
     gcd(phi, phi') mod _CERT_PRIME proves phi squarefree. Any other result
     is only a hint; the exact gcd over Q then decides."""
     assert phi and phi[-1] == 1
-    if _gcd_degree_mod(phi, _iderivative(phi), _CERT_PRIME) == 0:
+    dphi = poly_derivative(phi)
+    if _gcd_degree_mod(phi, dphi, _CERT_PRIME) == 0:
         return True
-    f = UniPoly(phi)
-    return poly_gcd(f, poly_derivative(f)).degree == 0
+    return len(poly_gcd(phi, dphi)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +164,14 @@ def _scaled_eq(k: int, P: tuple, Q: tuple) -> bool:
 class RileySection:
     p: int
     q: int
-    phi: UniPoly     # phi(-1,u), content-free, positive leading coefficient
-    w11: UniPoly     # w11(-1,u)
-    w12: UniPoly     # w12(-1,u)
+    phi: tuple       # phi(-1,u), content-free, positive leading coefficient
+    w11: tuple       # w11(-1,u)
+    w12: tuple       # w12(-1,u)
     roots_count: int  # = degree of phi, with multiplicity
     squarefree: bool
-    phi_int: tuple = field(repr=False, compare=False)  # phi as integer tuple
+    # the relator holonomy: rho(w) at t = -1 is i^k times this integer
+    # matrix (A, B, C, D), k even
+    relator: tuple = field(repr=False)
 
 
 def section_at_minus_one(K: TwoBridge) -> RileySection:
@@ -291,20 +181,20 @@ def section_at_minus_one(K: TwoBridge) -> RileySection:
     squarefreeness of phi(-1,u)."""
     p = K.p
     half = (p - 1) // 2
-    k, (P11, P12, P21, P22) = _holonomy_at_i(relator_word(K))
+    k, relator = _holonomy_at_i(relator_word(K))
     if k % 2 != 0:
         raise RileyError(f"{K.name}: relator holonomy carries an odd power of i")
     sign = 1 if k == 0 else -1
 
     power = _power_x1x2_at_i(half)
-    if not _scaled_eq(k, (P11, P12, P21, P22), power):
+    if not _scaled_eq(k, relator, power):
         raise RileyError(
             f"{K.name}: letter-product holonomy differs from the "
             f"(rho(x1)rho(x2))^{half} power form at t = -1"
         )
 
-    w11 = tuple(sign * x for x in P11)
-    w12 = tuple(sign * x for x in P12)
+    w11 = tuple(sign * x for x in relator[0])
+    w12 = tuple(sign * x for x in relator[1])
     if len(w11) - 1 != half:
         raise RileyError(
             f"{K.name}: deg w11(-1,u) = {len(w11) - 1}, expected {half}"
@@ -321,23 +211,24 @@ def section_at_minus_one(K: TwoBridge) -> RileySection:
         raise RileyError(
             f"{K.name}: deg phi(-1,u) = {len(phi_raw) - 1}, expected {half}"
         )
-    phi_int = _content_normalize(phi_raw)
+    phi = _content_normalize(phi_raw)
 
-    phi = UniPoly(phi_int)
-    squarefree = _is_squarefree(phi_int)
+    squarefree = _is_squarefree(phi)
     if not squarefree:
         # would contradict the distinctness of the (p-1)/2 solutions
-        raise RileyError(f"{K.name}: phi(-1,u) = {phi} is not squarefree")
+        raise RileyError(
+            f"{K.name}: phi(-1,u) = {poly_str(phi)} is not squarefree"
+        )
 
     return RileySection(
         p=K.p,
         q=K.q,
         phi=phi,
-        w11=UniPoly(w11),
-        w12=UniPoly(w12),
-        roots_count=len(phi_int) - 1,
+        w11=w11,
+        w12=w12,
+        roots_count=len(phi) - 1,
         squarefree=squarefree,
-        phi_int=phi_int,
+        relator=relator,
     )
 
 
@@ -353,19 +244,24 @@ def _section_for(K: TwoBridge, section: RileySection | None) -> RileySection:
 
 
 # ---------------------------------------------------------------------------
-# Verification in the residue ring Q(i)[u]/(phi(-1,u))
+# Verification in the residue ring Z[u]/(phi(-1,u))
 
 @dataclass(frozen=True)
 class RelatorReport:
     knot: str
     ok: bool
-    residues: tuple  # the four entries of rho(w)rho(x1) - rho(x2)rho(w) mod phi
+    # the four entries of rho(w)rho(x1) - rho(x2)rho(w) mod phi: integer
+    # tuples at t = -1, LaurentBiPoly pseudo-remainders at general t
+    residues: tuple
 
     def to_dict(self) -> dict:
         return {
             "knot": self.knot,
             "ok": self.ok,
-            "residues": [str(r) for r in self.residues],
+            "residues": [
+                poly_str(r) if isinstance(r, tuple) else str(r)
+                for r in self.residues
+            ],
         }
 
 
@@ -373,10 +269,10 @@ def verify_relator_mod_phi(
     K: TwoBridge, section: RileySection | None = None
 ) -> RelatorReport:
     """Check rho(w) rho(x1) = rho(x2) rho(w) entry-wise in the residue
-    ring mod phi(-1,u). `section` is K's section if already computed."""
-    phi_int = _section_for(K, section).phi_int
-    _k, P = _holonomy_at_i(relator_word(K))
-    A, B, C, D = P
+    ring mod phi(-1,u), on the relator holonomy the section has built.
+    `section` is K's section if already computed."""
+    section = _section_for(K, section)
+    A, B, C, D = section.relator
     # rho(w)rho(x1) - rho(x2)rho(w) = i^{k+1} (P N1 - N2 P)
     lhs = (
         A,
@@ -391,13 +287,9 @@ def verify_relator_mod_phi(
         _isub(_ineg(_ishift(B)), D),
     )
     residues = tuple(
-        UniPoly(_irem_monic(_isub(l, r), phi_int)) for l, r in zip(lhs, rhs)
+        _irem_monic(_isub(l, r), section.phi) for l, r in zip(lhs, rhs)
     )
-    return RelatorReport(
-        knot=K.name,
-        ok=all(r.is_zero() for r in residues),
-        residues=residues,
-    )
+    return RelatorReport(knot=K.name, ok=not any(residues), residues=residues)
 
 
 @dataclass(frozen=True)
@@ -425,13 +317,13 @@ def verify_longitude_mod_phi(
     """Evaluate the longitude holonomy at t = -1 in the residue ring and
     report whether it is +id (the expected value, giving trace 2), -id,
     or neither. `section` is K's section if already computed."""
-    phi_int = _section_for(K, section).phi_int
+    phi = _section_for(K, section).phi
     k, (A, B, C, D) = _holonomy_at_i(longitude_word(K))
     if k % 2 != 0:
         return LongitudeReport(knot=K.name, result="neither", trace_is_two=False)
     sign = 1 if k == 0 else -1
     a, b, c, d = (
-        _irem_monic(tuple(sign * x for x in e), phi_int) for e in (A, B, C, D)
+        _irem_monic(tuple(sign * x for x in e), phi) for e in (A, B, C, D)
     )
     if b == () and c == ():
         if a == (1,) and d == (1,):
@@ -442,7 +334,7 @@ def verify_longitude_mod_phi(
             result = "neither"
     else:
         result = "neither"
-    trace = _irem_monic(_isub(_iadd(a, d), (2,)), phi_int)
+    trace = _irem_monic(_isub(_iadd(a, d), (2,)), phi)
     return LongitudeReport(knot=K.name, result=result, trace_is_two=trace == ())
 
 
@@ -494,7 +386,7 @@ def _sturm_chain(f: tuple) -> list:
     """Sturm sequence f, f', -rem(f, f'), ... of an integer polynomial. Each
     member is a positive integer multiple of the classical one, so its sign
     at every point is the same."""
-    chain = [f, _primitive(_iderivative(f))]
+    chain = [f, _primitive(poly_derivative(f))]
     while chain[-1]:
         chain.append(_ineg(_primitive(_iprem(chain[-2], chain[-1]))))
     chain.pop()
@@ -506,26 +398,20 @@ def _sign_changes(chain, n: int, m: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def approx_real_roots(phi: UniPoly, bits: int = 50):
-    """Approximate real roots of a real polynomial, for display only.
+def approx_real_roots(phi: tuple, bits: int = 50):
+    """Approximate real roots of an integer polynomial, for display only.
     Returns (floats, complex_pair_count).
 
-    phi is scaled by a positive integer to a primitive integer polynomial.
-    With B/D the root bound 1 + max|c|/|lead|, every point is an integer
+    phi is divided by its positive content. With B/D the root bound 1 + max|c|/|lead|, every point is an integer
     numerator over D * 2^k, and every sign is an integer Horner evaluation.
     Sturm counts isolate the distinct roots (bisecting [-B/D, B/D] and
     nudging midpoints off exact roots); each isolating interval (lo, hi] is
     then halved `bits` times by the sign of phi's squarefree part alone, a
     zero at the midpoint going to hi. Only the final midpoint becomes a
     float."""
-    if any(c.im != 0 for c in phi.coeffs):
-        raise ValueError("approx_real_roots expects a real polynomial")
-    if phi.degree < 1:
+    if len(phi) < 2:
         return [], 0
-    den = math.lcm(*(c.re.denominator for c in phi.coeffs))
-    f = _primitive(
-        tuple(c.re.numerator * (den // c.re.denominator) for c in phi.coeffs)
-    )
+    f = _primitive(phi)
     D = abs(f[-1])
     B = D + max(abs(c) for c in f)
     chain = _sturm_chain(f)
@@ -575,7 +461,7 @@ def approx_real_roots(phi: UniPoly, bits: int = 50):
         vm = changes(mid)
         stack.extend([(a, va, mid, vm), (mid, vm, b, vb)])
     roots.sort()
-    complex_pairs = (phi.degree - len(roots)) // 2
+    complex_pairs = (len(f) - 1 - len(roots)) // 2
     return roots, complex_pairs
 
 
@@ -587,8 +473,4 @@ def verify_relator_general_t(K: TwoBridge) -> RelatorReport:
     rho_w = word_holonomy(H, relator_word(K))
     diff = rho_w * H.x1 - H.x2 * rho_w
     residues = tuple(laurent_pseudo_rem_u(e, phi) for e in diff.entries())
-    return RelatorReport(
-        knot=K.name,
-        ok=all(r.is_zero() for r in residues),
-        residues=residues,
-    )
+    return RelatorReport(knot=K.name, ok=not any(residues), residues=residues)

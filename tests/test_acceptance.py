@@ -71,9 +71,9 @@ def test_riley_degree_claims_p_le_45():
     assert len(knots) == 422
     for K in knots:
         sec = section_at_minus_one(K)  # raises on any degree/squarefree breach
-        assert sec.w11.degree == (K.p - 1) // 2
-        assert sec.w12.degree == (K.p - 3) // 2
-        assert sec.phi.degree == (K.p - 1) // 2
+        assert len(sec.w11) - 1 == (K.p - 1) // 2
+        assert len(sec.w12) - 1 == (K.p - 3) // 2
+        assert len(sec.phi) - 1 == (K.p - 1) // 2
         assert sec.squarefree
     _report("Riley degree claims for all S(p,q), p <= 45", time.monotonic() - t0, 30)
 
@@ -91,7 +91,7 @@ def test_relator_and_longitude_identities_p_le_25():
     t0 = time.monotonic()
     for K in all_two_bridge(25, include_negative_q=True):
         rel = verify_relator_mod_phi(K)
-        assert rel.ok, (K.name, [str(r) for r in rel.residues])
+        assert rel.ok, (K.name, rel.to_dict()["residues"])
         lon = verify_longitude_mod_phi(K)
         assert lon.result == "id", (K.name, lon.result)
         assert lon.trace_is_two, K.name
@@ -104,7 +104,7 @@ def test_8_20_fixture_numbers():
     assert A.deg_l == 5
     prof = factor_profile(A)
     assert (prof.a, prof.b, prof.c) == (0, 3, 2)  # (l-1)^3 (l+1)^2
-    assert prof.residual.degree == 0
+    assert len(prof.residual) == 1
     assert (9 - 1) // 2 == 4 and prof.b <= 4
     bound = degree_bound_check(A)
     assert not bound.applicable  # not a 2-bridge knot: no bound claimed
@@ -123,8 +123,7 @@ def test_two_bridge_apoly_bound():
         prof = factor_profile(A)
         # eval at sqrt(-1) is +-(l-1)^k, k = deg_l(A)
         assert prof.a == 0 and prof.c == 0
-        assert prof.residual.degree == 0
-        assert abs(prof.residual.lead.re) == 1 and prof.residual.lead.im == 0
+        assert prof.residual in ((1,), (-1,))
         assert prof.b == A.deg_l
         rep = degree_bound_check(A)
         assert rep.applicable and rep.ok and rep.slack >= 0
@@ -204,7 +203,7 @@ def test_criteria_on_synthetic_polynomials():
         A = APoly.from_terms("syn-pure", _lift(poly))
         (f,) = proposition_criteria(A)
         assert f.kind == "none"
-        assert eval_at_sqrt_minus_one(A).degree == k
+        assert len(eval_at_sqrt_minus_one(A)) - 1 == k
 
     _report("criteria on synthetic polynomials, residual degree <= 4",
             time.monotonic() - t0, 30)

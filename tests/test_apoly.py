@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 
 from knotmeta.apoly import (
     APoly,
@@ -14,12 +15,8 @@ from knotmeta.apoly import (
     squarefree_in_l_warning,
     vertical_edge_check,
 )
-from knotmeta.exactalg import GaussRat, I_POWERS, UniPoly
+from knotmeta.exactalg import GaussRat
 from knotmeta.knotdata import builtin_apolys
-
-
-def up(*ints):
-    return UniPoly.from_ints(*ints)
 
 
 def ap(name, terms, **kw):
@@ -74,11 +71,11 @@ class TestIngest:
 class TestEvalAtSqrtMinusOne:
     def test_trefoil_fixture(self):
         # l + m^6 evaluates to l - 1
-        assert eval_at_sqrt_minus_one(fixture("3_1")) == up(-1, 1)
+        assert eval_at_sqrt_minus_one(fixture("3_1")) == (-1, 1)
 
     def test_figure8_fixture(self):
         # sign-normalized fixture: the evaluation is -(l-1)^2
-        assert eval_at_sqrt_minus_one(fixture("4_1")) == up(-1, 2, -1)
+        assert eval_at_sqrt_minus_one(fixture("4_1")) == (-1, 2, -1)
 
     def test_against_independent_oracle(self):
         rng = random.Random(41)
@@ -93,10 +90,13 @@ class TestEvalAtSqrtMinusOne:
                 continue
             expected = {}
             for (me, le), c in A.terms:
-                expected[le] = expected.get(le, GaussRat(0)) + I_POWERS[me % 4] * c
+                i_pow = GaussRat(1)
+                for _ in range(me):
+                    i_pow = i_pow * GaussRat(0, 1)
+                expected[le] = expected.get(le, GaussRat(0)) + i_pow * c
             got = eval_at_sqrt_minus_one(A)
             for le, v in expected.items():
-                coeff = got.coeffs[le] if le <= got.degree else GaussRat(0)
+                coeff = got[le] if le < len(got) else 0
                 assert coeff == v
                 assert v.im == 0  # even m-powers keep everything rational
 
@@ -119,26 +119,52 @@ class TestFactorProfile:
     def test_trefoil(self):
         prof = factor_profile(fixture("3_1"))
         assert (prof.a, prof.b, prof.c) == (0, 1, 0)
-        assert prof.residual == up(1)
+        assert prof.residual == (1,)
 
     def test_8_20(self):
         prof = factor_profile(fixture("8_20"))
         assert (prof.a, prof.b, prof.c) == (0, 3, 2)
-        assert prof.residual.degree == 0
+        assert len(prof.residual) == 1
 
     def test_reconstruct_matches_eval(self):
         for A in builtin_apolys():
             prof = factor_profile(A)
-            lead = prof.residual.lead
             got = prof.reconstruct()
             assert got == eval_at_sqrt_minus_one(A), A.name
-            assert lead.im == 0
+
+    def test_matches_sympy_factorization(self):
+        l, m = sympy.symbols("l m")
+        rng = random.Random(43)
+        for _ in range(40):
+            a, b, c = (rng.randint(0, 2) for _ in range(3))
+            g = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+            g.append(rng.choice((-2, 1, 3)))
+            target = l**a * (l - 1) ** b * (l + 1) ** c * sum(
+                x * l**k for k, x in enumerate(g)
+            )
+            # (m^2 + 1) h(l) vanishes at m = i; h(1) != 0 keeps l - 1 from
+            # dividing A itself
+            h = l ** rng.randint(0, 4) + 1
+            A_expr = sympy.expand(target + (m**2 + 1) * h)
+            terms = {
+                (me, le): int(cf)
+                for (me, le), cf in sympy.Poly(A_expr, m, l).terms()
+            }
+            prof = factor_profile(ap("rand", terms))
+            ev = sympy.Poly(sympy.expand(target), l)
+            mult = {f: k for f, k in sympy.factor_list(ev.as_expr(), l)[1]}
+            expected = (mult.get(l, 0), mult.get(l - 1, 0), mult.get(l + 1, 0))
+            assert (prof.a, prof.b, prof.c) == expected, g
+            rebuilt = prof.reconstruct()
+            coeffs = tuple(int(x) for x in ev.all_coeffs()[::-1])
+            # ingest normalizes the sign of A
+            assert rebuilt in (coeffs, tuple(-x for x in coeffs)), g
 
     def test_identically_zero(self):
         A = ap("van", {(2, 1): 1, (0, 1): 1, (2, 0): 1, (0, 0): 1})
         prof = factor_profile(A)
         assert prof.is_zero
-        assert prof.reconstruct().is_zero()
+        assert prof.reconstruct() == ()
 
 
 class TestPropositionCriteria:

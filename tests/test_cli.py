@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -17,6 +18,7 @@ def runner():
 SEIFERT = str(fixture_path("seifert_knots.json"))
 APOLYS = str(fixture_path("apolys.json"))
 CORPUS = str(fixture_path("two_bridge_p45.json"))
+RECORDED = Path(__file__).parent / "data"
 
 
 class TestDet:
@@ -101,12 +103,25 @@ class TestTwoBridge:
         assert "relator_general_t_ok: True" in res.output
 
     def test_verify_failure_exits_1(self, runner, monkeypatch):
-        def fake(K):
+        def fake(K, section=None):
             return LongitudeReport(knot=K.name, result="neither", trace_is_two=False)
 
         monkeypatch.setattr(cli.riley, "verify_longitude_mod_phi", fake)
         res = runner.invoke(main, ["tb-verify", "-p", "5", "-q", "3"])
         assert res.exit_code == 1
+
+    def test_verify_computes_one_section(self, runner, monkeypatch):
+        real = cli.riley.section_at_minus_one
+        calls = []
+
+        def counting(K):
+            calls.append(K.name)
+            return real(K)
+
+        monkeypatch.setattr(cli.riley, "section_at_minus_one", counting)
+        res = runner.invoke(main, ["tb-verify", "-p", "15", "-q", "11"])
+        assert res.exit_code == 0
+        assert calls == ["S(15,11)"]
 
     def test_crosscheck(self, runner):
         res = runner.invoke(main, ["tb-crosscheck", "-p", "15", "-q", "11"])
@@ -135,6 +150,20 @@ class TestApolyAnalyze:
         res = runner.invoke(main, ["apoly-analyze", "-i", APOLYS, "--det", "9"])
         assert "probe: k = 3 <= 4: True" in res.output
 
+    @pytest.mark.parametrize("inputs", ["fixtures", "residuals"])
+    @pytest.mark.parametrize("fmt, ext", [("table", "txt"), ("json", "json")])
+    def test_output_matches_recording(self, runner, inputs, fmt, ext):
+        # residuals.json has one record each for a rational residual root, a
+        # Gaussian root pair, an irrational quadratic, A(sqrt(-1), l) = 0,
+        # the normal-form warning, and a tagged l (l-1)^2 (l+1) (l^3+2)
+        recorded = RECORDED / "apoly_analyze"
+        path = APOLYS if inputs == "fixtures" else str(recorded / "residuals.json")
+        res = runner.invoke(
+            main, ["apoly-analyze", "-i", path, "--det", "9", "-f", fmt]
+        )
+        assert res.exit_code == 0
+        assert res.stdout == (recorded / f"{inputs}_det9.{ext}").read_text()
+
 
 class TestSweep:
     def test_csv_header_and_shape(self, runner):
@@ -150,13 +179,13 @@ class TestSweep:
         res = runner.invoke(main, ["sweep", "--p-max", "8"])
         assert res.exit_code == 2
 
-    def test_json_byte_identical_across_thread_counts(self, runner, monkeypatch):
-        monkeypatch.setenv("KNOTMETA_THREADS", "1")
-        a = runner.invoke(main, ["sweep", "--p-max", "11", "-f", "json"])
-        monkeypatch.setenv("KNOTMETA_THREADS", "4")
-        b = runner.invoke(main, ["sweep", "--p-max", "11", "-f", "json"])
-        assert a.exit_code == b.exit_code == 0
-        assert a.output == b.output
+    def test_json_matches_recording(self, runner):
+        res = runner.invoke(
+            main, ["sweep", "--p-max", "21", "--negative-q", "-f", "json"]
+        )
+        assert res.exit_code == 0
+        expected = RECORDED / "sweep" / "p21_negative_q.json"
+        assert res.stdout == expected.read_text()
 
     def test_negative_q_doubles_rows(self, runner):
         pos = runner.invoke(main, ["sweep", "--p-max", "9", "-f", "csv"])
