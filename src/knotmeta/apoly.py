@@ -18,7 +18,6 @@ from .exactalg import (
     _ishift,
     _isub,
     _trim,
-    degree,
     poly_derivative,
     poly_gcd,
     poly_str,
@@ -140,16 +139,7 @@ def vertical_edge_check(A: APoly) -> bool:
     m_max = max(me for me, _le in pts)
     left = {le for me, le in pts if me == m_min}
     right = {le for me, le in pts if me == m_max}
-    has_edge = len(left) > 1 or len(right) > 1
-    if not has_edge:
-        # no vertical edge forces deg_l to survive the m = sqrt(-1) cut
-        ev = eval_at_sqrt_minus_one(A)
-        if degree(ev) != A.deg_l:
-            raise APolyError(
-                f"{A.name}: no vertical edge but deg_l dropped from "
-                f"{A.deg_l} to {degree(ev)} at m = sqrt(-1)"
-            )
-    return has_edge
+    return len(left) > 1 or len(right) > 1
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,11 @@ def _fail(message: str):
     sys.exit(2)
 
 
+def _verification_failure(exc: Exception):
+    click.echo(f"verification failure: {exc}", err=True)
+    sys.exit(1)
+
+
 format_option = click.option(
     "-f",
     "--format",
@@ -130,6 +135,8 @@ def meta_enum_cmd(path, fmt):
                 )
     except INPUT_ERRORS as exc:
         _fail(str(exc))
+    except metabelian.CensusError as exc:
+        _verification_failure(exc)
     if fmt == "json":
         _emit_json(rows)
     elif fmt == "csv":
@@ -153,6 +160,8 @@ def meta_verify_cmd(path, fmt):
                 reports.append(metabelian.verify_class(K, c))
     except INPUT_ERRORS as exc:
         _fail(str(exc))
+    except metabelian.CensusError as exc:
+        _verification_failure(exc)
     if fmt == "json":
         _emit_json([r.to_dict() for r in reports])
     else:
@@ -181,8 +190,7 @@ def tb_riley_cmd(p, q, roots, fmt):
     try:
         sec = riley.section_at_minus_one(K)
     except riley.RileyError as exc:
-        click.echo(f"verification failure: {exc}", err=True)
-        sys.exit(1)
+        _verification_failure(exc)
     payload = {
         "name": K.name,
         "p": sec.p,
@@ -224,8 +232,7 @@ def tb_verify_cmd(p, q, general_t, fmt):
         lon = riley.verify_longitude_mod_phi(K, sec)
         gen = riley.verify_relator_general_t(K) if general_t else None
     except riley.RileyError as exc:
-        click.echo(f"verification failure: {exc}", err=True)
-        sys.exit(1)
+        _verification_failure(exc)
     payload = {
         "name": K.name,
         "relator_ok": rel.ok,
@@ -254,8 +261,7 @@ def tb_crosscheck_cmd(p, q, fmt):
     try:
         rep = riley.cross_check_counts(K)
     except riley.RileyError as exc:
-        click.echo(f"verification failure: {exc}", err=True)
-        sys.exit(1)
+        _verification_failure(exc)
     if fmt == "json":
         _emit_json(rep.to_dict())
     else:

@@ -4,13 +4,8 @@ unimodular transforms, and the torsion solver for W*theta = 0 over Q/Z.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-# A rotation vector is a tuple of exact rationals in [0,1), each entry
-# standing for an eigenvalue argument theta/2pi.
-RotationVector = tuple
 
 
 class IntLinAlgError(ValueError):
@@ -132,7 +127,23 @@ class SnfResult:
         return tuple(self.D[i, i] for i in range(self.D.rows))
 
 
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
 def smith_normal_form(W: IntMat) -> SnfResult:
+    """Pivot on a smallest nonzero entry, then clear its row and column.
+    An entry the pivot divides is cleared by a subtraction; any other by a
+    2x2 unimodular step built from the extended gcd, which replaces the
+    pivot by a proper divisor, at most half its size. So each pivot takes
+    at most log2 |pivot| such steps."""
     if not W.is_square():
         raise IntLinAlgError("Smith normal form of a non-square matrix")
     n = W.rows
@@ -149,83 +160,89 @@ def smith_normal_form(W: IntMat) -> SnfResult:
             a[r][i], a[r][j] = a[r][j], a[r][i]
             v[r][i], v[r][j] = v[r][j], v[r][i]
 
-    def add_row(dst, src, mult):
-        for j in range(n):
-            a[dst][j] += mult * a[src][j]
-            u[dst][j] += mult * u[src][j]
+    def mix_rows(i, j, s, t, x, y):
+        """row i <- s*row i + t*row j, row j <- x*row i + y*row j."""
+        for m in (a, u):
+            ri, rj = m[i], m[j]
+            m[i] = [s * p + t * q for p, q in zip(ri, rj)]
+            m[j] = [x * p + y * q for p, q in zip(ri, rj)]
 
-    def add_col(dst, src, mult):
-        for r in range(n):
-            a[r][dst] += mult * a[r][src]
-            v[r][dst] += mult * v[r][src]
+    def mix_cols(i, j, s, t, x, y):
+        """col i <- s*col i + t*col j, col j <- x*col i + y*col j."""
+        for m in (a, v):
+            for r in m:
+                p, q = r[i], r[j]
+                r[i], r[j] = s * p + t * q, x * p + y * q
 
-    def negate_row(i):
-        for j in range(n):
-            a[i][j] = -a[i][j]
-            u[i][j] = -u[i][j]
+    def clear(t, entry, mix):
+        """Zero entry(i) for i > t (the column below the pivot or the row
+        right of it) with mix_rows or mix_cols. True if the pivot changed."""
+        changed = False
+        for i in range(t + 1, n):
+            p, x = a[t][t], entry(i)
+            if x % p == 0:
+                if x:
+                    mix(t, i, 1, 0, -(x // p), 1)
+            else:
+                g, s, r = _xgcd(p, x)
+                mix(t, i, s, r, -(x // g), p // g)
+                changed = True
+        return changed
 
     for t in range(n):
+        # a smallest nonzero entry of the trailing block becomes the pivot
+        best = None
+        for i in range(t, n):
+            for j in range(t, n):
+                x = abs(a[i][j])
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+        if best is None:
+            break
+        _x, pi, pj = best
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+
         while True:
-            # minimum-absolute-value nonzero pivot in the trailing block
-            pivot = None
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    x = abs(a[i][j])
-                    if x and (best is None or x < best):
-                        best, pivot = x, (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
-
-            progressed = True
-            while progressed:
-                progressed = False
-                for i in range(t + 1, n):
-                    if a[i][t]:
-                        q = a[i][t] // a[t][t]
-                        add_row(i, t, -q)
-                        if a[i][t]:
-                            # remainder smaller than pivot: promote it
-                            swap_rows(t, i)
-                            progressed = True
-                for j in range(t + 1, n):
-                    if a[t][j]:
-                        q = a[t][j] // a[t][t]
-                        add_col(j, t, -q)
-                        if a[t][j]:
-                            swap_cols(t, j)
-                            progressed = True
-
-            # pivot must divide the whole trailing block
-            culprit = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+            # clearing the column can refill the row and vice versa, but
+            # only by shrinking the pivot, so this ends
+            while clear(t, lambda i: a[i][t], mix_rows) | clear(
+                t, lambda j: a[t][j], mix_cols
+            ):
+                pass
+            # the pivot must divide the whole trailing block; adding the
+            # row of an entry it does not divide puts that entry in row t
+            culprit = next(
+                (
+                    i
+                    for i in range(t + 1, n)
+                    if any(a[i][j] % a[t][t] for j in range(t + 1, n))
+                ),
+                None,
+            )
             if culprit is None:
                 break
-            add_row(t, culprit, 1)
+            mix_rows(t, culprit, 1, 1, 0, 1)
 
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
 
     return SnfResult(IntMat(u), IntMat(a), IntMat(v))
 
 
 def torsion_solutions(W: IntMat) -> list:
-    """All theta in (Q/Z)^n with W @ theta = 0 mod 1, in lexicographic order.
+    """All theta in (Q/Z)^n with W @ theta = 0 mod 1, as integer vectors k
+    with theta = k / D, D = |det W|, each entry in [0, D); sorted, which is
+    the lexicographic order of the thetas.
 
     Diagonalize U W Vt = D; with psi = Vt^{-1} theta the system is
-    D psi = 0 mod 1, so psi_i runs over k_i/d_i and theta = Vt psi mod 1.
-    There are exactly |det W| solutions.
+    D psi = 0 mod 1, so psi_j runs over m/d_j and theta = Vt psi mod 1.
+    Over the common denominator D each column j with d_j > 1 is the step
+    Vt[:, j] * (D / d_j) mod D, and the solutions are the sums of multiples
+    of the steps. There are exactly |det W| of them.
     """
     if not W.is_square():
         raise IntLinAlgError("torsion solver needs a square matrix")
@@ -233,15 +250,18 @@ def torsion_solutions(W: IntMat) -> list:
     diag = snf.diag
     if any(d == 0 for d in diag):
         raise IntLinAlgError("singular matrix: det W = 0")
+    D = math.prod(diag)
     vt = snf.Vt.entries
-    n = W.rows
-    sols = []
-    for ks in itertools.product(*[range(d) for d in diag]):
-        psi = [Fraction(k, d) for k, d in zip(ks, diag)]
-        theta = tuple(
-            sum((vt[i][j] * psi[j] for j in range(n)), Fraction(0)) % 1
-            for i in range(n)
-        )
-        sols.append(theta)
+    sols = [(0,) * W.rows]
+    for j, d in enumerate(diag):
+        if d == 1:
+            continue
+        step = [row[j] * (D // d) % D for row in vt]
+        multiples = [[m * x for x in step] for m in range(d)]
+        sols = [
+            tuple((x + y) % D for x, y in zip(k, mult))
+            for k in sols
+            for mult in multiples
+        ]
     sols.sort()
     return sols

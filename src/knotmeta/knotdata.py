@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .intlinalg import IntMat, det
@@ -31,6 +31,7 @@ class SeifertKnot:
 
     name: str
     V: IntMat
+    W: IntMat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         V = self.V
@@ -44,6 +45,7 @@ class SeifertKnot:
                 f"{self.name}: det(V - V^T) != 1; not a Seifert matrix "
                 "w.r.t. a symplectic basis"
             )
+        object.__setattr__(self, "W", V + V.transpose())
 
     @property
     def genus(self) -> int:
@@ -51,8 +53,8 @@ class SeifertKnot:
 
     def symmetrized(self) -> IntMat:
         """W = V + V^T, the matrix whose torsion kernel carries the
-        metabelian eigenvalue data."""
-        return self.V + self.V.transpose()
+        metabelian eigenvalue data, built once with the knot."""
+        return self.W
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Census of irreducible metabelian SL(2,C) characters of a knot group.
 
 The count is (|Delta_K(-1)| - 1)/2; the classes are the nonzero solutions
-of (V + V^T) theta = 0 over Q/Z, taken up to theta <-> -theta.
+of (V + V^T) theta = 0 over Q/Z, taken up to theta <-> -theta. Every
+solution has denominator dividing D = |det(V + V^T)|, so enumeration and
+verification run on integer numerators over D; Fractions are built only
+for the classes returned.
 """
 
 from __future__ import annotations
@@ -34,12 +37,29 @@ class MetabelianRep:
     generator_images: tuple
 
 
-def count_metabelian(K) -> int:
-    """(det - 1)/2, the number of irreducible metabelian characters."""
-    d = determinant_of_knot(K)
+class CensusError(RuntimeError):
+    """The enumeration disagrees with the census count (|det| - 1)/2: a bug
+    in the torsion solver or the class selection, never bad input."""
+
+    def __init__(self, knot: str, enumerated: int, expected: int):
+        super().__init__(
+            f"{knot}: enumerated {enumerated} metabelian classes, "
+            f"expected (|det| - 1)/2 = {expected}"
+        )
+        self.knot = knot
+        self.enumerated = enumerated
+        self.expected = expected
+
+
+def _census_size(d: int) -> int:
     if d % 2 == 0:
         raise KnotDataError(f"knot determinant {d} is even; invalid knot data")
     return (d - 1) // 2
+
+
+def count_metabelian(K) -> int:
+    """(det - 1)/2, the number of irreducible metabelian characters."""
+    return _census_size(determinant_of_knot(K))
 
 
 def canonical_rotation(thetas) -> tuple:
@@ -52,42 +72,47 @@ def canonical_rotation(thetas) -> tuple:
 def enumerate_metabelian(K: SeifertKnot) -> list:
     """All metabelian classes of K, lexicographically sorted.
 
-    Always returns exactly (|det(V+V^T)| - 1)/2 classes: the trivial
-    torsion solution is discarded and theta ~ -theta identified.
+    Always returns exactly (|det(V+V^T)| - 1)/2 classes, else raises
+    CensusError. The torsion solutions come as integer vectors k over
+    D = |det|; D is odd, so k < -k mod D keeps exactly the canonical member
+    of each pair theta ~ -theta and drops theta = 0.
     """
-    W = K.symmetrized()
-    classes = set()
-    for theta in torsion_solutions(W):
-        if all(t == 0 for t in theta):
-            continue
-        classes.add(canonical_rotation(theta))
-    out = [
-        MetabelianClass(thetas=t, order=math.lcm(*(x.denominator for x in t)))
-        for t in sorted(classes)
-    ]
-    expected = count_metabelian(K)
+    D = determinant_of_knot(K)
+    expected = _census_size(D)
+    out = []
+    for k in torsion_solutions(K.symmetrized()):
+        if k < tuple(-x % D for x in k):
+            out.append(
+                MetabelianClass(
+                    thetas=tuple(Fraction(x, D) for x in k),
+                    order=D // math.gcd(D, *k),
+                )
+            )
     if len(out) != expected:
-        raise AssertionError(
-            f"{K.name}: enumerated {len(out)} classes, expected {expected}"
-        )
+        raise CensusError(K.name, len(out), expected)
     return out
 
 
-def _rep_from_thetas(thetas) -> MetabelianRep:
+def _meridian_image() -> Mat2:
     zero = RootUnitySum()
     one = RootUnitySum.const(1)
-    mu = Mat2(zero, one, -one, zero)
-    gens = tuple(
-        Mat2(RootUnitySum.root(t), zero, zero, RootUnitySum.root((-t) % 1))
-        for t in thetas
-    )
-    return MetabelianRep(mu_image=mu, generator_images=gens)
+    return Mat2(zero, one, -one, zero)
+
+
+# The meridian image does not depend on the class (b is fixed to 1), so its
+# trace is checked once, not rebuilt for every class.
+_MERIDIAN_TRACE_ZERO = _meridian_image().trace().is_zero()
 
 
 def build_representation(c: MetabelianClass) -> MetabelianRep:
     """Exact matrices: mu -> [[0,1],[-1,0]] (b fixed to 1, all choices of b
     being conjugate) and x_j -> diag(zeta^theta_j, zeta^-theta_j)."""
-    return _rep_from_thetas(c.thetas)
+    zero = RootUnitySum()
+    gens = tuple(
+        Mat2(RootUnitySum.root(t), zero, zero, RootUnitySum.root((-t) % 1))
+        for t in c.thetas
+    )
+    return MetabelianRep(mu_image=_meridian_image(), generator_images=gens)
 
 
 @dataclass(frozen=True)
@@ -121,24 +146,32 @@ def verify_class(K: SeifertKnot, c) -> ClassReport:
     generator trace differs from 2 (irreducibility), (c) trace of the
     meridian image is 0.
 
+    The checks run on integers: with L the lcm of the denominators and
+    theta = k / L, row i holds iff sum_j W_ij k_j = 0 mod L.
+
     Accepts a MetabelianClass or a bare rotation tuple, so deliberately
     bad vectors (including zero) can be fed through the same checks."""
-    thetas = tuple(Fraction(t) % 1 for t in getattr(c, "thetas", c))
-    W = K.symmetrized().entries
+    if isinstance(c, MetabelianClass):
+        thetas = c.thetas
+    else:
+        thetas = tuple(Fraction(t) % 1 for t in c)
+    L = math.lcm(*(t.denominator for t in thetas))
+    ks = [t.numerator * (L // t.denominator) for t in thetas]
     failures = []
     relation_ok = True
-    for i, row in enumerate(W):
-        s = sum((w * t for w, t in zip(row, thetas)), Fraction(0))
-        if s % 1 != 0:
+    for i, row in enumerate(K.symmetrized().entries):
+        s = sum(w * k for w, k in zip(row, ks))
+        if s % L:
             relation_ok = False
-            failures.append(f"row {i}: W.theta = {s} is not an integer")
+            failures.append(
+                f"row {i}: W.theta = {Fraction(s, L)} is not an integer"
+            )
 
-    irreducible_ok = any(t != 0 for t in thetas)
+    irreducible_ok = any(k % L for k in ks)
     if not irreducible_ok:
         failures.append("theta = 0: abelian, not irreducible")
 
-    rep = _rep_from_thetas(thetas)
-    meridian_trace_zero = rep.mu_image.trace().is_zero()
+    meridian_trace_zero = _MERIDIAN_TRACE_ZERO
     if not meridian_trace_zero:
         failures.append("trace of meridian image is not 0")
 

@@ -109,10 +109,13 @@ class TestVerticalEdge:
     def test_figure8_no_edge(self):
         assert vertical_edge_check(fixture("4_1")) is False
 
-    def test_no_edge_with_degree_drop_raises(self):
+    def test_no_edge_with_degree_drop_is_accepted(self):
+        # (m^2 + 1) l^2: no vertical edge, yet A(sqrt(-1), l) = 0, since
+        # the top l-coefficient vanishes at m = sqrt(-1)
         A = ap("drop", {(0, 2): 1, (2, 2): 1})
-        with pytest.raises(APolyError, match="deg_l dropped"):
-            vertical_edge_check(A)
+        assert vertical_edge_check(A) is False
+        assert A.deg_l == 2
+        assert eval_at_sqrt_minus_one(A) == ()
 
 
 class TestFactorProfile:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from knotmeta import cli
+from knotmeta import cli, metabelian
 from knotmeta.cli import main
 from knotmeta.knotdata import fixture_path
 from knotmeta.riley import LongitudeReport, RileyError
@@ -68,6 +68,30 @@ class TestMeta:
         res = runner.invoke(main, ["meta-verify", "-i", SEIFERT])
         assert res.exit_code == 0
         assert res.output.count("ok") == 3
+
+    @pytest.mark.parametrize("cmd", ["meta-enum", "meta-verify"])
+    @pytest.mark.parametrize("fmt, ext", [("table", "txt"), ("json", "json")])
+    def test_output_matches_recording(self, runner, cmd, fmt, ext):
+        # knots.json: genus 1-3, torsion (5, 5), (3, 15) and (3, 3, 9)
+        # besides cyclic ones, and det 1001
+        recorded = RECORDED / "census"
+        res = runner.invoke(
+            main, [cmd, "-i", str(recorded / "knots.json"), "-f", fmt]
+        )
+        assert res.exit_code == 0
+        assert res.stdout == (recorded / f"{cmd}.{ext}").read_text()
+
+    @pytest.mark.parametrize("cmd", ["meta-enum", "meta-verify"])
+    def test_census_failure_exits_1(self, runner, monkeypatch, cmd):
+        real = metabelian.torsion_solutions
+        monkeypatch.setattr(
+            metabelian, "torsion_solutions", lambda W: [real(W)[0]] + real(W)[2:]
+        )
+        res = runner.invoke(main, [cmd, "-i", SEIFERT])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("verification failure: 3_1: ")
+        assert "enumerated 0" in res.stderr and "= 1" in res.stderr
+        assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 class TestTwoBridge:
@@ -149,6 +173,20 @@ class TestApolyAnalyze:
     def test_probe_with_det(self, runner):
         res = runner.invoke(main, ["apoly-analyze", "-i", APOLYS, "--det", "9"])
         assert "probe: k = 3 <= 4: True" in res.output
+
+    def test_top_coefficient_vanishing_at_i(self, runner, tmp_path):
+        # (m^2 + 1) l^2 has no vertical edge and A(sqrt(-1), l) = 0
+        path = tmp_path / "arcs.json"
+        path.write_text(json.dumps([{
+            "type": "apoly",
+            "name": "arcs-top",
+            "terms": [{"m": 2, "l": 2, "c": 1}, {"m": 0, "l": 2, "c": 1}],
+        }]))
+        res = runner.invoke(main, ["apoly-analyze", "-i", str(path), "-f", "json"])
+        assert res.exit_code == 0
+        (rep,) = json.loads(res.stdout)
+        assert rep["has_vertical_edge"] is False
+        assert [c["kind"] for c in rep["criteria"]] == ["arcs"]
 
     @pytest.mark.parametrize("inputs", ["fixtures", "residuals"])
     @pytest.mark.parametrize("fmt, ext", [("table", "txt"), ("json", "json")])

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,39 @@ def brute_force_torsion(W: IntMat):
         tuple(Fraction(int(k), D) for k in col) for col in grid[:, mask].T
     )
     return sols
+
+
+def torsion_thetas(W: IntMat):
+    """torsion_solutions as rotation vectors: each k becomes k / |det W|."""
+    D = abs(det(W))
+    return [tuple(Fraction(x, D) for x in k) for k in torsion_solutions(W)]
+
+
+def check_snf(W: IntMat):
+    snf = smith_normal_form(W)
+    assert snf.U @ W @ snf.Vt == snf.D
+    assert abs(det(snf.U)) == 1
+    assert abs(det(snf.Vt)) == 1
+    d = snf.diag
+    assert all(x >= 0 for x in d)
+    for a, b in zip(d, d[1:]):
+        if a:
+            assert b % a == 0
+        else:
+            assert b == 0
+    return snf
+
+
+# A dense genus-3 Seifert matrix (det 483) on which the swap-and-reduce
+# Smith form once ran without end, its entries growing to millions of bits.
+DENSE_G3 = [
+    [7, -4, 3, -5, -4, -10],
+    [-5, 1, 1, 4, 0, 1],
+    [3, 1, -2, -1, 0, 1],
+    [-5, 4, -2, 6, 0, 4],
+    [-4, 0, 0, 0, 4, 6],
+    [-10, 1, 1, 4, 5, 10],
+]
 
 
 class TestDet:
@@ -78,33 +112,50 @@ class TestSmithNormalForm:
         for _ in range(60):
             n = rng.randint(1, 4)
             W = IntMat([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
-            snf = smith_normal_form(W)
-            assert snf.U @ W @ snf.Vt == snf.D
-            assert abs(det(snf.U)) == 1
-            assert abs(det(snf.Vt)) == 1
-            d = snf.diag
-            assert all(x >= 0 for x in d)
-            for a, b in zip(d, d[1:]):
-                if a:
-                    assert b % a == 0
-                else:
-                    assert b == 0
+            check_snf(W)
+
+    def test_dense_genus_3_terminates(self):
+        from knotmeta.knotdata import SeifertKnot
+        from knotmeta.metabelian import enumerate_metabelian
+
+        t0 = time.monotonic()
+        K = SeifertKnot("dense-g3", IntMat(DENSE_G3))
+        assert check_snf(K.symmetrized()).diag == (1, 1, 1, 1, 1, 483)
+        assert len(enumerate_metabelian(K)) == 241
+        assert time.monotonic() - t0 < 1.0
+
+    def test_random_dense_up_to_genus_5(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            n = 2 * rng.randint(1, 5)
+            W = IntMat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            snf = check_snf(W)
+            prod = 1
+            for x in snf.diag:
+                prod *= x
+            assert prod == abs(det(W))
 
 
 class TestTorsionSolutions:
     def test_single_entry(self):
-        assert torsion_solutions(IntMat([[2]])) == [
+        assert torsion_solutions(IntMat([[2]])) == [(0,), (1,)]
+        assert torsion_thetas(IntMat([[2]])) == [
             (Fraction(0),),
             (Fraction(1, 2),),
         ]
 
     def test_identity_unimodular(self):
-        assert torsion_solutions(IntMat.identity(3)) == [
+        assert torsion_thetas(IntMat.identity(3)) == [
             (Fraction(0), Fraction(0), Fraction(0))
         ]
 
     def test_trefoil(self):
         assert torsion_solutions(IntMat([[-2, 1], [1, -2]])) == [
+            (0, 0),
+            (1, 2),
+            (2, 1),
+        ]
+        assert torsion_thetas(IntMat([[-2, 1], [1, -2]])) == [
             (Fraction(0), Fraction(0)),
             (Fraction(1, 3), Fraction(2, 3)),
             (Fraction(2, 3), Fraction(1, 3)),
@@ -124,7 +175,10 @@ class TestTorsionSolutions:
             if d == 0 or abs(d) > 30:
                 continue
             done += 1
-            sols = torsion_solutions(W)
+            assert all(
+                0 <= x < abs(d) for k in torsion_solutions(W) for x in k
+            )
+            sols = torsion_thetas(W)
             assert len(sols) == abs(d)
             assert len(set(sols)) == len(sols)
             assert sols == sorted(sols)
@@ -146,4 +200,4 @@ class TestTorsionSolutions:
             if d == 0 or abs(d) > 30:
                 continue
             done += 1
-            assert torsion_solutions(W) == brute_force_torsion(W)
+            assert torsion_thetas(W) == brute_force_torsion(W)

@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from knotmeta import metabelian
 from knotmeta.exactalg import RootUnitySum
-from knotmeta.intlinalg import IntMat
+from knotmeta.intlinalg import IntMat, det
 from knotmeta.knotdata import KnotDataError, SeifertKnot, TwoBridge
 from knotmeta.metabelian import (
+    CensusError,
     MetabelianClass,
     build_representation,
     canonical_rotation,
@@ -67,6 +70,51 @@ class TestEnumerate:
         a = enumerate_metabelian(FIGURE8)
         b = enumerate_metabelian(FIGURE8)
         assert a == b
+
+    def test_genus_2_against_brute_force(self):
+        """Every theta in ((1/D)Z/Z)^4, D = |det W| <= 25: the solutions of
+        W theta = 0 mod 1, nonzero and taken up to sign, are the classes
+        (Boden-Friedl, Pacific J. Math. 2008: (|det| - 1)/2 of them)."""
+        import numpy as np
+
+        rng = random.Random(17)
+        seen = set()
+        while len(seen) < 8:
+            K = random_seifert(rng, 2)
+            W = K.symmetrized()
+            D = abs(det(W))
+            if D > 25 or D in seen:
+                continue
+            seen.add(D)
+            A = np.array(W.tolists(), dtype=np.int64)
+            grid = np.indices((D,) * 4).reshape(4, -1)
+            mask = ((A @ grid) % D == 0).all(axis=0)
+            classes = set()
+            for col in grid[:, mask].T:
+                theta = tuple(Fraction(int(x), D) for x in col)
+                if any(theta):
+                    neg = tuple((-t) % 1 for t in theta)
+                    classes.add(min(theta, neg))
+            expected = [
+                (t, math.lcm(*(x.denominator for x in t))) for t in sorted(classes)
+            ]
+            got = [(c.thetas, c.order) for c in enumerate_metabelian(K)]
+            assert got == expected, (K.V, D)
+            assert len(got) == (D - 1) // 2
+
+    def test_dropped_solution_raises_census_error(self, monkeypatch):
+        real = metabelian.torsion_solutions
+        # the smallest nonzero solution is always its class's representative
+        monkeypatch.setattr(
+            metabelian, "torsion_solutions", lambda W: [real(W)[0]] + real(W)[2:]
+        )
+        with pytest.raises(CensusError) as info:
+            enumerate_metabelian(FIGURE8)
+        err = info.value
+        assert (err.knot, err.enumerated, err.expected) == ("4_1", 1, 2)
+        assert str(err) == (
+            "4_1: enumerated 1 metabelian classes, expected (|det| - 1)/2 = 2"
+        )
 
     def test_canonicalization_idempotent(self):
         rng = random.Random(9)
