@@ -32,7 +32,6 @@ from .metabelian import (
     verify_class,
 )
 from .riley import (
-    RileyHolonomy,
     cross_check_counts,
     riley_polynomial,
     section_at_minus_one,
@@ -70,7 +69,6 @@ __all__ = [
     "count_metabelian",
     "enumerate_metabelian",
     "verify_class",
-    "RileyHolonomy",
     "cross_check_counts",
     "riley_polynomial",
     "section_at_minus_one",

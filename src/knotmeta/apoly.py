@@ -22,7 +22,7 @@ from .exactalg import (
     poly_gcd,
     poly_str,
 )
-from .knotdata import json_int
+from .knotdata import json_typed
 
 
 class APolyError(ValueError):
@@ -91,18 +91,20 @@ class APoly:
     @classmethod
     def from_record(cls, obj: dict) -> "APoly":
         """Build from a JSON record; exponents, coefficients and the (p, q)
-        tag must be JSON integers."""
+        tag must be JSON integers, and "small", if present, a JSON
+        boolean."""
         name = obj.get("name", "?")
         terms = {}
         for t in obj["terms"]:
-            key = (json_int(t["m"], "m-exponent"), json_int(t["l"], "l-exponent"))
+            key = (json_typed(t["m"], "m-exponent"), json_typed(t["l"], "l-exponent"))
             if key in terms:
                 raise APolyError(f"{name}: duplicate exponent pair {key}")
-            terms[key] = json_int(t["c"], "coefficient")
+            terms[key] = json_typed(t["c"], "coefficient")
         pq = None
         if "p" in obj and "q" in obj:
-            pq = (json_int(obj["p"], "p"), json_int(obj["q"], "q"))
-        return cls.from_terms(name, terms, pq=pq, small_flag=obj.get("small"))
+            pq = (json_typed(obj["p"], "p"), json_typed(obj["q"], "q"))
+        small = json_typed(obj["small"], "small", bool) if "small" in obj else None
+        return cls.from_terms(name, terms, pq=pq, small_flag=small)
 
     def to_record(self) -> dict:
         rec = {
@@ -365,7 +367,10 @@ class ProbeReport:
 
 def metabelian_multiplicity_probe(A: APoly, det: int) -> ProbeReport:
     """Probe the conjecture that the (l-1)-multiplicity of A(sqrt(-1),l)
-    is at most (det-1)/2. Violations are reported, never raised."""
+    is at most (det-1)/2. Violations are reported, never raised; a det
+    that is not a positive odd integer is an input error."""
+    if det < 1:
+        raise APolyError(f"{A.name}: knot determinant must be positive, got {det}")
     if det % 2 == 0:
         raise APolyError(f"{A.name}: knot determinant must be odd, got {det}")
     prof = factor_profile(A)

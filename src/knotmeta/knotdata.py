@@ -16,12 +16,14 @@ class KnotDataError(ValueError):
     pass
 
 
-def json_int(value, what: str) -> int:
-    """value if it is a JSON integer. Floats, strings and booleans are
-    refused, never coerced."""
-    if type(value) is not int:
+def json_typed(value, what: str, kind: type = int):
+    """value if it is a JSON integer, or with kind=bool a JSON boolean.
+    Anything else, a boolean for an integer included, is refused, never
+    coerced."""
+    if type(value) is not kind:
         shown = json.dumps(value, default=repr)
-        raise KnotDataError(f"{what} must be a JSON integer, got {shown}")
+        noun = "boolean" if kind is bool else "integer"
+        raise KnotDataError(f"{what} must be a JSON {noun}, got {shown}")
     return value
 
 
@@ -159,11 +161,11 @@ def _parse_knot_record(obj, idx: int):
     name = obj.get("name", f"record-{idx}")
     try:
         if kind == "seifert":
-            V = [[json_int(x, "Seifert entry") for x in row] for row in obj["V"]]
+            V = [[json_typed(x, "Seifert entry") for x in row] for row in obj["V"]]
             return SeifertKnot(name=name, V=IntMat(V))
         if kind == "twobridge":
             return TwoBridge(
-                name=name, p=json_int(obj["p"], "p"), q=json_int(obj["q"], "q")
+                name=name, p=json_typed(obj["p"], "p"), q=json_typed(obj["q"], "q")
             )
         if kind == "apoly":
             return APoly.from_record(obj)
@@ -178,8 +180,10 @@ def _load_records(path):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise KnotDataError(f"{path}: malformed JSON: {exc}") from None
+    except OSError as exc:
+        raise KnotDataError(str(exc)) from None
     records = doc if isinstance(doc, list) else [doc]
     return [_parse_knot_record(obj, i) for i, obj in enumerate(records)]
 

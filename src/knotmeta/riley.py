@@ -60,30 +60,21 @@ _X1_INV = Mat2(LB_S_INV, -LB_S_INV, LB_ZERO, LB_S)
 _X2_INV = Mat2(LB_S_INV, LB_ZERO, LB_S * LB_U, LB_S)
 
 
-@dataclass(frozen=True)
-class RileyHolonomy:
-    x1: Mat2 = _X1
-    x2: Mat2 = _X2
+_IMAGES = {(1, 1): _X1, (2, 1): _X2, (1, -1): _X1_INV, (2, -1): _X2_INV}
 
 
-def word_holonomy(H: RileyHolonomy, w: GroupWord) -> Mat2:
+def word_holonomy(w: GroupWord) -> Mat2:
     """Exact product of generator images over Z[s^{+-1}][u]."""
-    images = {
-        (1, 1): H.x1,
-        (2, 1): H.x2,
-        (1, -1): _X1_INV,
-        (2, -1): _X2_INV,
-    }
     acc = Mat2.identity(LB_ONE, LB_ZERO)
     for letter in w.letters:
-        acc = acc * images[letter]
+        acc = acc * _IMAGES[letter]
     return acc
 
 
 def riley_polynomial(K: TwoBridge) -> LaurentBiPoly:
     """phi(t,u) = w11 + (1 - t) w12 from the relator holonomy. Lives in
     Z[t^{+-1}][u]: only even s-exponents may appear."""
-    rho_w = word_holonomy(RileyHolonomy(), relator_word(K))
+    rho_w = word_holonomy(relator_word(K))
     phi = rho_w.a + (LB_ONE - LB_S * LB_S) * rho_w.b
     if not phi.s_exponents_all_even():
         raise RileyError(
@@ -302,14 +293,6 @@ class LongitudeReport:
     def ok(self) -> bool:
         return self.result == "id"
 
-    def to_dict(self) -> dict:
-        return {
-            "knot": self.knot,
-            "result": self.result,
-            "trace_is_two": self.trace_is_two,
-            "ok": self.ok,
-        }
-
 
 def verify_longitude_mod_phi(
     K: TwoBridge, section: RileySection | None = None
@@ -469,8 +452,7 @@ def verify_relator_general_t(K: TwoBridge) -> RelatorReport:
     """The relator identity over Z[s^{+-1}][u] modulo phi(t,u), via
     pseudo-remainders in u. Exact but costly; off the default path."""
     phi = riley_polynomial(K)
-    H = RileyHolonomy()
-    rho_w = word_holonomy(H, relator_word(K))
-    diff = rho_w * H.x1 - H.x2 * rho_w
+    rho_w = word_holonomy(relator_word(K))
+    diff = rho_w * _X1 - _X2 * rho_w
     residues = tuple(laurent_pseudo_rem_u(e, phi) for e in diff.entries())
     return RelatorReport(knot=K.name, ok=not any(residues), residues=residues)

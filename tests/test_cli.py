@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,26 @@ SEIFERT = str(fixture_path("seifert_knots.json"))
 APOLYS = str(fixture_path("apolys.json"))
 CORPUS = str(fixture_path("two_bridge_p45.json"))
 RECORDED = Path(__file__).parent / "data"
+CLI_CASES = json.loads((RECORDED / "cli" / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=[c["id"] for c in CLI_CASES])
+def test_output_matches_recording(runner, case):
+    """stdout, stderr and exit code of every command in every format it
+    keeps, and of one error case per command, recorded before the commands
+    shared one renderer and one error mapping."""
+    recorded = RECORDED / "cli"
+    paths = {
+        "cli": str(recorded),
+        "census": str(RECORDED / "census" / "knots.json"),
+        "seifert": SEIFERT,
+        "apolys": APOLYS,
+    }
+    res = runner.invoke(main, [a.format(**paths) for a in case["args"]])
+    err = recorded / f"{case['id']}.err"
+    assert res.exit_code == case["exit"]
+    assert res.stdout == (recorded / f"{case['id']}.out").read_text()
+    assert res.stderr == (err.read_text() if err.exists() else "")
 
 
 class TestDet:
@@ -35,6 +58,17 @@ class TestDet:
     def test_missing_file_exits_2(self, runner):
         res = runner.invoke(main, ["det", "-i", "/nonexistent.json"])
         assert res.exit_code == 2
+        assert res.stderr == (
+            "error: [Errno 2] No such file or directory: '/nonexistent.json'\n"
+        )
+
+    def test_non_utf8_file_exits_2(self, runner, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'[{"type": "twobridge", "name": "\xe9", "p": 5, "q": 3}]')
+        res = runner.invoke(main, ["det", "-i", str(bad)])
+        assert res.exit_code == 2
+        assert "malformed JSON" in res.stderr
+        assert res.exception is None or isinstance(res.exception, SystemExit)
 
     def test_malformed_json_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -154,6 +188,49 @@ class TestTwoBridge:
 
 
 class TestApolyAnalyze:
+    # l^2 + 1: A(sqrt(-1), l) = l^2 + 1 has the roots omega = +-i, so with
+    # asserted smallness both give trace-free non-metabelian representations
+    L2_PLUS_1 = {
+        "type": "apoly",
+        "name": "l2p1",
+        "terms": [{"m": 0, "l": 2, "c": 1}, {"m": 0, "l": 0, "c": 1}],
+    }
+
+    @pytest.mark.parametrize(
+        "small, kinds",
+        [
+            (True, ["trace-free-nonmetabelian"] * 2),
+            (False, ["inconclusive"]),
+        ],
+    )
+    def test_small_flag(self, runner, tmp_path, small, kinds):
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps([{**self.L2_PLUS_1, "small": small}]))
+        res = runner.invoke(main, ["apoly-analyze", "-i", str(path), "-f", "json"])
+        assert res.exit_code == 0
+        (rep,) = json.loads(res.stdout)
+        assert [c["kind"] for c in rep["criteria"]] == kinds
+
+    @pytest.mark.parametrize("small, shown", [("no", '"no"'), (0, "0"), (None, "null")])
+    def test_non_boolean_small_exits_2(self, runner, tmp_path, small, shown):
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps([{**self.L2_PLUS_1, "small": small}]))
+        res = runner.invoke(main, ["apoly-analyze", "-i", str(path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            f"error: record 0 (l2p1): small must be a JSON boolean, got {shown}\n"
+        )
+
+    @pytest.mark.parametrize("det", ["-3", "0", "-1"])
+    def test_non_positive_det_exits_2(self, runner, det):
+        res = runner.invoke(main, ["apoly-analyze", "-i", APOLYS, "--det", det])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            f"error: 3_1: knot determinant must be positive, got {det}\n"
+        )
+
     def test_table(self, runner):
         res = runner.invoke(main, ["apoly-analyze", "-i", APOLYS])
         assert res.exit_code == 0
@@ -265,6 +342,55 @@ class TestSweep:
         table = runner.invoke(main, ["sweep", "--p-max", "3"])
         assert table.exit_code == 1
         assert table.stdout == "S(3,1): FAIL S(3,1): injected failure\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["meta-verify", "-i", SEIFERT],
+        ["tb-riley", "-p", "7", "-q", "3"],
+        ["tb-verify", "-p", "7", "-q", "3"],
+        ["tb-crosscheck", "-p", "7", "-q", "3"],
+        ["apoly-analyze", "-i", APOLYS],
+    ],
+    ids=lambda args: args[0],
+)
+def test_csv_is_a_usage_error_for_nested_rows(runner, args):
+    """Only det, meta-count, meta-enum and sweep have flat rows and take
+    -f csv; the other commands refuse it instead of printing the table."""
+    res = runner.invoke(main, [*args, "-f", "csv"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "'csv' is not one of 'table', 'json'" in res.stderr
+
+
+def test_reader_closing_early_exits_1_quietly():
+    """A reader that stops after a few bytes ends the run through click's
+    broken-pipe handling: exit 1 and nothing on stderr, as before the
+    commands shared one error mapping."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs a resizable pipe (Linux)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    read_end, write_end = os.pipe()
+    # a one-page pipe blocks the writer long before its ~25 kB of output
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "knotmeta.cli"]
+        + ["sweep", "--p-max", "45", "--negative-q"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        assert reader.read(16) == b"S(3,-1): det 3, "
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"error:" not in stderr
+    assert b"Traceback" not in stderr
 
 
 def _twobridge(**fields):

@@ -25,7 +25,6 @@ from knotmeta.exactalg import (
 from knotmeta.knotdata import GroupWord, TwoBridge, all_two_bridge, relator_word
 from knotmeta.riley import (
     _CERT_PRIME,
-    RileyHolonomy,
     _holonomy_at_i,
     _is_squarefree,
     _power_x1x2_at_i,
@@ -46,11 +45,11 @@ def tb(p, q):
 
 class TestWordHolonomy:
     def test_empty_word_is_identity(self):
-        got = word_holonomy(RileyHolonomy(), GroupWord(()))
+        got = word_holonomy(GroupWord(()))
         assert got == Mat2.identity(LB_ONE, LB_ZERO)
 
     def test_x1_x2_product(self):
-        got = word_holonomy(RileyHolonomy(), GroupWord(((1, 1), (2, 1))))
+        got = word_holonomy(GroupWord(((1, 1), (2, 1))))
         assert got == Mat2(
             LB_S * LB_S - LB_U,
             LB_S_INV * LB_S_INV,
@@ -59,7 +58,7 @@ class TestWordHolonomy:
         )
 
     def test_x1_x2_specializes_to_unit_matrix(self):
-        got = word_holonomy(RileyHolonomy(), GroupWord(((1, 1), (2, 1))))
+        got = word_holonomy(GroupWord(((1, 1), (2, 1))))
         # at s^2 = -1 this is [[-1-u, -1], [-u, -1]]
         assert got.a.eval_s_to_i() == (-1, -1)
         assert got.b.eval_s_to_i() == (-1,)
@@ -68,19 +67,17 @@ class TestWordHolonomy:
 
     def test_random_word_times_inverse(self):
         rng = random.Random(13)
-        H = RileyHolonomy()
         for _ in range(8):
             letters = tuple(
                 (rng.choice((1, 2)), rng.choice((1, -1))) for _ in range(6)
             )
             w = GroupWord(letters)
-            prod = word_holonomy(H, w) * word_holonomy(H, w.inverse())
+            prod = word_holonomy(w) * word_holonomy(w.inverse())
             assert prod == Mat2.identity(LB_ONE, LB_ZERO)
 
     def test_determinant_one(self):
-        H = RileyHolonomy()
         for K in all_two_bridge(9):
-            rho_w = word_holonomy(H, relator_word(K))
+            rho_w = word_holonomy(relator_word(K))
             assert rho_w.det() == LB_ONE
 
 
