@@ -26,7 +26,6 @@ from .knotdata import (
 )
 from .metabelian import (
     MetabelianClass,
-    build_representation,
     count_metabelian,
     enumerate_metabelian,
     verify_class,
@@ -65,7 +64,6 @@ __all__ = [
     "longitude_word",
     "relator_word",
     "MetabelianClass",
-    "build_representation",
     "count_metabelian",
     "enumerate_metabelian",
     "verify_class",

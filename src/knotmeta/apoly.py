@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
-    GaussRat,
     _iadd,
     _ishift,
     _isub,
@@ -22,7 +21,7 @@ from .exactalg import (
     poly_gcd,
     poly_str,
 )
-from .knotdata import json_typed
+from .knotdata import TwoBridge, json_typed
 
 
 class APolyError(ValueError):
@@ -86,6 +85,7 @@ class APoly:
             )
         if pq is not None:
             pq = (int(pq[0]), int(pq[1]))
+            TwoBridge(name, *pq)  # KnotDataError unless S(p, q) is a knot
         return cls(name=name, terms=tuple(items), pq=pq, small_flag=small_flag)
 
     @classmethod
@@ -196,20 +196,34 @@ def factor_profile(A: APoly) -> FactorProfile:
 
 
 def _residual_roots(p: tuple):
-    """Exact roots in Q(i) of an integer residual of degree <= 2, else
-    None. A quadratic's roots lie in Q(i) iff |disc| is a square."""
+    """Exact roots in Q(i), as (re, im) pairs of Fractions, of an integer
+    residual of degree <= 2, else None. A quadratic's roots lie in Q(i)
+    iff |disc| is a square."""
     if len(p) == 2:
         c0, c1 = p
-        return [GaussRat(Fraction(-c0, c1))]
+        return [(Fraction(-c0, c1), Fraction(0))]
     if len(p) == 3:
         c0, c1, c2 = p
         disc = c1 * c1 - 4 * c2 * c0
         r = math.isqrt(abs(disc))
         if r * r != abs(disc):
             return None
-        root = GaussRat(r) if disc >= 0 else GaussRat(0, r)
-        return [(root - c1) / (2 * c2), (-root - c1) / (2 * c2)]
+        re, im = (r, 0) if disc >= 0 else (0, r)
+        return [
+            (Fraction(s * re - c1, 2 * c2), Fraction(s * im, 2 * c2))
+            for s in (1, -1)
+        ]
     return None
+
+
+def _gauss_str(re: Fraction, im: Fraction) -> str:
+    """Render re + im*i as "re", "im*i" or "re+im*i" (re-|im|*i)."""
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}*i"
+    sign = "+" if im > 0 else "-"
+    return f"{re}{sign}{abs(im)}*i"
 
 
 @dataclass(frozen=True)
@@ -242,7 +256,7 @@ def proposition_criteria(A: APoly) -> list:
     findings = []
     omegas = []
     if prof.c > 0:
-        omegas.append(GaussRat(-1))
+        omegas.append((Fraction(-1), Fraction(0)))
     residual_desc = None
     if len(prof.residual) > 1:
         roots = _residual_roots(prof.residual)
@@ -256,15 +270,17 @@ def proposition_criteria(A: APoly) -> list:
     has_other_factor = prof.c > 0 or len(prof.residual) > 1
     if has_other_factor:
         if A.small_flag:
-            for w in omegas:
-                trace = w + w.inv()
+            for re, im in omegas:
+                # omega + omega^{-1}, with omega^{-1} = (re - im*i)/|omega|^2
+                n = re * re + im * im
+                trace = _gauss_str(re + re / n, im - im / n)
                 findings.append(
                     Finding(
                         kind="trace-free-nonmetabelian",
                         detail=(
                             "irreducible non-metabelian representation with "
-                            f"trace(rho(mu))=0 exists, omega = {w}, "
-                            f"trace(rho(lambda)) = {trace}"
+                            f"trace(rho(mu))=0 exists, omega = "
+                            f"{_gauss_str(re, im)}, trace(rho(lambda)) = {trace}"
                         ),
                     )
                 )

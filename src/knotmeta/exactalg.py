@@ -1,6 +1,5 @@
 """Exact arithmetic kernel: dense univariate polynomials over Z, the sparse
-bivariate Laurent ring Z[s^{+-1}][u], Gaussian rationals, generic 2x2
-matrices, and formal sums of roots of unity.
+bivariate Laurent ring Z[s^{+-1}][u], and generic 2x2 matrices.
 
 A polynomial over Z is a tuple of int coefficients, constant term first,
 with no trailing zeros; () is the zero polynomial. Every univariate
@@ -13,85 +12,6 @@ Everything here is immutable and pure; no floating point anywhere.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-NEG_INF = float("-inf")  # degree of the zero polynomial
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-class GaussRat:
-    """A Gaussian rational re + im*i, components held as exact Fractions."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
-
-    def __setattr__(self, *args):
-        raise AttributeError("GaussRat is immutable")
-
-    @classmethod
-    def coerce(cls, v) -> "GaussRat":
-        if isinstance(v, GaussRat):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return cls(v)
-        raise TypeError(f"cannot coerce {type(v).__name__} to GaussRat")
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussRat(other)
-        if not isinstance(other, GaussRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __add__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-GaussRat.coerce(other))
-
-    def __mul__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def inv(self) -> "GaussRat":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero GaussRat")
-        return GaussRat(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * GaussRat.coerce(other).inv()
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
-
-    def __repr__(self):
-        return f"GaussRat({self.re!r}, {self.im!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +21,6 @@ def _trim(c: list) -> tuple:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def degree(a: tuple):
-    """Degree of a, with the -inf sentinel for the zero polynomial."""
-    return len(a) - 1 if a else NEG_INF
 
 
 def _iadd(a: tuple, b: tuple) -> tuple:
@@ -342,24 +257,12 @@ class LaurentBiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        acc, base = LB_ONE, self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def s_exponents_all_even(self) -> bool:
         return all(se % 2 == 0 for (se, _u) in self.terms)
 
-    def u_degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(ue for (_s, ue) in self.terms)
+    def u_degree(self) -> int:
+        """Degree in u, -1 for zero (as len(a) - 1 on tuples)."""
+        return max((ue for (_s, ue) in self.terms), default=-1)
 
     def u_coefficient(self, ue: int) -> "LaurentBiPoly":
         """The coefficient of u^ue, as a Laurent polynomial in s alone."""
@@ -372,7 +275,7 @@ class LaurentBiPoly:
         in u; s^se = (-1)^(se/2), so every s-exponent must be even."""
         if not self.s_exponents_all_even():
             raise ValueError("odd s-exponent: the value at s = i is not real")
-        out = [0] * (self.u_degree() + 1) if self.terms else []
+        out = [0] * (self.u_degree() + 1)
         for (se, ue), c in self.terms.items():
             out[ue] += c if se % 4 == 0 else -c
         return _trim(out)
@@ -416,7 +319,7 @@ def laurent_pseudo_rem_u(p: LaurentBiPoly, phi: LaurentBiPoly) -> LaurentBiPoly:
     d = phi.u_degree()
     lc = phi.u_coefficient(d)
     r = p
-    while not r.is_zero() and r.u_degree() >= d:
+    while r.u_degree() >= d:
         rd = r.u_degree()
         rlc = r.u_coefficient(rd)
         shift = LaurentBiPoly({(0, rd - d): 1})
@@ -424,114 +327,9 @@ def laurent_pseudo_rem_u(p: LaurentBiPoly, phi: LaurentBiPoly) -> LaurentBiPoly:
     return r
 
 
-class RootUnitySum:
-    """Formal integer combination of roots of unity e^{2*pi*i*theta}.
-
-    Keys are rotation numbers theta in [0,1) as exact Fractions. This is
-    the ring where metabelian representation matrices live, so traces and
-    determinants stay exact.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for theta, c in terms.items():
-                theta = _frac(theta) % 1
-                v = clean.get(theta, 0) + c
-                if v:
-                    clean[theta] = v
-                elif theta in clean:
-                    del clean[theta]
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RootUnitySum is immutable")
-
-    @classmethod
-    def root(cls, theta) -> "RootUnitySum":
-        return cls({_frac(theta): 1})
-
-    @classmethod
-    def const(cls, c: int) -> "RootUnitySum":
-        return cls({Fraction(0): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = RootUnitySum.const(other)
-        if not isinstance(other, RootUnitySum):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = RootUnitySum.const(other)
-        out = dict(self.terms)
-        for theta, c in other.terms.items():
-            v = out.get(theta, 0) + c
-            if v:
-                out[theta] = v
-            else:
-                del out[theta]
-        return RootUnitySum(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RootUnitySum({t: -c for t, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = RootUnitySum.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = RootUnitySum.const(other)
-        if not isinstance(other, RootUnitySum):
-            return NotImplemented
-        out = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                t = (t1 + t2) % 1
-                v = out.get(t, 0) + c1 * c2
-                if v:
-                    out[t] = v
-                else:
-                    del out[t]
-        return RootUnitySum(out)
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for theta, c in sorted(self.terms.items()):
-            if theta == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(f"z({theta})")
-            else:
-                parts.append(f"{c}*z({theta})")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"RootUnitySum({self})"
-
-
 class Mat2:
-    """2x2 matrix with entries in any of the kernel rings."""
+    """2x2 matrix over any commutative ring: LaurentBiPoly, int or Fraction
+    entries."""
 
     __slots__ = ("a", "b", "c", "d")
 

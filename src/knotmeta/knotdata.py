@@ -153,7 +153,7 @@ def longitude_word(K: TwoBridge) -> GroupWord:
 
 def _parse_knot_record(obj, idx: int):
     # local import: APoly lives with the analyzer
-    from .apoly import APoly
+    from .apoly import APoly, APolyError
 
     if not isinstance(obj, dict):
         raise KnotDataError(f"record {idx}: expected a JSON object")
@@ -170,8 +170,10 @@ def _parse_knot_record(obj, idx: int):
         if kind == "apoly":
             return APoly.from_record(obj)
         raise KnotDataError(f"unknown record type {kind!r}")
-    except KnotDataError as exc:
-        raise KnotDataError(f"record {idx} ({name}): {exc}") from None
+    except (KnotDataError, APolyError) as exc:
+        # the model's own messages start with its name; name the record once
+        detail = str(exc).removeprefix(f"{name}: ")
+        raise KnotDataError(f"record {idx} ({name}): {detail}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise KnotDataError(f"record {idx} ({name}): malformed record: {exc}") from None
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import Mat2, RootUnitySum
+from .exactalg import Mat2
 from .intlinalg import torsion_solutions
 from .knotdata import KnotDataError, SeifertKnot, determinant_of_knot
 
@@ -29,12 +29,6 @@ class MetabelianClass:
     def __post_init__(self):
         if all(t == 0 for t in self.thetas):
             raise ValueError("metabelian class cannot be the trivial vector")
-
-
-@dataclass(frozen=True)
-class MetabelianRep:
-    mu_image: Mat2
-    generator_images: tuple
 
 
 class CensusError(RuntimeError):
@@ -93,26 +87,10 @@ def enumerate_metabelian(K: SeifertKnot) -> list:
     return out
 
 
-def _meridian_image() -> Mat2:
-    zero = RootUnitySum()
-    one = RootUnitySum.const(1)
-    return Mat2(zero, one, -one, zero)
-
-
-# The meridian image does not depend on the class (b is fixed to 1), so its
-# trace is checked once, not rebuilt for every class.
-_MERIDIAN_TRACE_ZERO = _meridian_image().trace().is_zero()
-
-
-def build_representation(c: MetabelianClass) -> MetabelianRep:
-    """Exact matrices: mu -> [[0,1],[-1,0]] (b fixed to 1, all choices of b
-    being conjugate) and x_j -> diag(zeta^theta_j, zeta^-theta_j)."""
-    zero = RootUnitySum()
-    gens = tuple(
-        Mat2(RootUnitySum.root(t), zero, zero, RootUnitySum.root((-t) % 1))
-        for t in c.thetas
-    )
-    return MetabelianRep(mu_image=_meridian_image(), generator_images=gens)
+# The meridian image mu -> [[0,1],[-1,0]] does not depend on the class (b is
+# fixed to 1, all choices of b being conjugate), so its trace is checked
+# once, not rebuilt for every class.
+_MERIDIAN_TRACE_ZERO = Mat2(0, 1, -1, 0).trace() == 0
 
 
 @dataclass(frozen=True)

@@ -265,14 +265,17 @@ class TestApolyAnalyze:
         assert rep["has_vertical_edge"] is False
         assert [c["kind"] for c in rep["criteria"]] == ["arcs"]
 
-    @pytest.mark.parametrize("inputs", ["fixtures", "residuals"])
+    @pytest.mark.parametrize("inputs", ["fixtures", "residuals", "gaussian"])
     @pytest.mark.parametrize("fmt, ext", [("table", "txt"), ("json", "json")])
     def test_output_matches_recording(self, runner, inputs, fmt, ext):
         # residuals.json has one record each for a rational residual root, a
         # Gaussian root pair, an irrational quadratic, A(sqrt(-1), l) = 0,
-        # the normal-form warning, and a tagged l (l-1)^2 (l+1) (l^3+2)
+        # the normal-form warning, and a tagged l (l-1)^2 (l+1) (l^3+2);
+        # gaussian.json has a purely imaginary omega (l^2 + 1), omega =
+        # 1/2 + 1/2*i (2l^2 - 2l + 1), and a residual with a negative
+        # leading coefficient, whose roots come out in the other order
         recorded = RECORDED / "apoly_analyze"
-        path = APOLYS if inputs == "fixtures" else str(recorded / "residuals.json")
+        path = APOLYS if inputs == "fixtures" else str(recorded / f"{inputs}.json")
         res = runner.invoke(
             main, ["apoly-analyze", "-i", path, "--det", "9", "-f", fmt]
         )
@@ -442,6 +445,9 @@ class TestStrictIngest:
                 _apoly(p=3, q="1"),
                 'q must be a JSON integer, got "1"',
             ),
+            # integers, but no 2-bridge knot S(p, q) to bound deg_l by
+            ("apoly-analyze", _apoly(p=4, q=2), "p must be odd and >= 3, got 4"),
+            ("apoly-analyze", _apoly(p=7, q=0), "q must be odd, got 0"),
         ],
     )
     def test_rejected(self, runner, tmp_path, command, record, message):

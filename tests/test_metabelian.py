@@ -5,13 +5,11 @@ from fractions import Fraction
 import pytest
 
 from knotmeta import metabelian
-from knotmeta.exactalg import RootUnitySum
 from knotmeta.intlinalg import IntMat, det
 from knotmeta.knotdata import KnotDataError, SeifertKnot, TwoBridge
 from knotmeta.metabelian import (
     CensusError,
     MetabelianClass,
-    build_representation,
     canonical_rotation,
     count_metabelian,
     enumerate_metabelian,
@@ -127,29 +125,6 @@ class TestEnumerate:
 
 
 class TestBuildRepresentation:
-    def test_trefoil_images(self):
-        (c,) = enumerate_metabelian(TREFOIL)
-        rep = build_representation(c)
-        x1, x2 = rep.generator_images
-        assert x1.a == RootUnitySum.root(Fraction(1, 3))
-        assert x1.d == RootUnitySum.root(Fraction(2, 3))
-        assert x2.a == RootUnitySum.root(Fraction(2, 3))
-        assert x2.d == RootUnitySum.root(Fraction(1, 3))
-        assert rep.mu_image.b == RootUnitySum.const(1)
-
-    def test_meridian_trace_zero(self):
-        (c,) = enumerate_metabelian(TREFOIL)
-        rep = build_representation(c)
-        assert rep.mu_image.trace().is_zero()
-
-    def test_images_in_sl2(self):
-        for c in enumerate_metabelian(FIGURE8):
-            rep = build_representation(c)
-            one = RootUnitySum.const(1)
-            assert rep.mu_image.det() == one
-            for g in rep.generator_images:
-                assert g.det() == one
-
     def test_rejects_trivial_class(self):
         with pytest.raises(ValueError):
             MetabelianClass(thetas=(Fraction(0), Fraction(0)), order=1)
@@ -161,6 +136,7 @@ class TestVerifyClass:
             for c in enumerate_metabelian(K):
                 report = verify_class(K, c)
                 assert report.ok, report.failures
+                assert report.meridian_trace_zero
 
     def test_corrupted_denominator_fails_relation(self):
         report = verify_class(TREFOIL, (Fraction(1, 4), Fraction(1, 4)))
