@@ -89,11 +89,13 @@ class APoly:
         return cls(name=name, terms=tuple(items), pq=pq, small_flag=small_flag)
 
     @classmethod
-    def from_record(cls, obj: dict) -> "APoly":
+    def from_record(cls, obj: dict, name: str | None = None) -> "APoly":
         """Build from a JSON record; exponents, coefficients and the (p, q)
         tag must be JSON integers, and "small", if present, a JSON
-        boolean."""
-        name = obj.get("name", "?")
+        boolean. `name` is the loader's name for the record, by default
+        its "name" field."""
+        if name is None:
+            name = obj["name"]
         terms = {}
         for t in obj["terms"]:
             key = (json_typed(t["m"], "m-exponent"), json_typed(t["l"], "l-exponent"))

@@ -141,12 +141,10 @@ def longitude_word(K: TwoBridge) -> GroupWord:
     exponent of w and sigma is the exponent sum of w. Null-homologous:
     the total exponent sum is zero."""
     eps = epsilon_sequence(K)
-    w = relator_word(K)
-    wtilde = GroupWord(
-        tuple((1 if i % 2 == 0 else 2, -e) for i, e in enumerate(eps))
-    )
+    wtilde = tuple((1 if i % 2 == 0 else 2, -e) for i, e in enumerate(eps))
     sigma = sum(eps)
-    lam = w.inverse() * wtilde * GroupWord.power(1, 2 * sigma)
+    # w^{-1} reverses w and negates every exponent: it is wtilde reversed
+    lam = GroupWord(wtilde[::-1] + wtilde + GroupWord.power(1, 2 * sigma).letters)
     assert lam.exponent_sum() == 0
     return lam
 
@@ -168,7 +166,7 @@ def _parse_knot_record(obj, idx: int):
                 name=name, p=json_typed(obj["p"], "p"), q=json_typed(obj["q"], "q")
             )
         if kind == "apoly":
-            return APoly.from_record(obj)
+            return APoly.from_record(obj, name)
         raise KnotDataError(f"unknown record type {kind!r}")
     except (KnotDataError, APolyError) as exc:
         # the model's own messages start with its name; name the record once

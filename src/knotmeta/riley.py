@@ -7,16 +7,23 @@ At t = -1 every generator image is i times an involutive integer matrix:
     rho(x1) = i*N1,  N1 = [[1,-1],[0,-1]],
     rho(x2) = i*N2,  N2 = [[1,0],[-u,-1]],   N1^2 = N2^2 = id,
 
-so the holonomy of any word is i^sigma times a product of N-matrices with
-integer polynomial entries. All t = -1 computation runs on the integer
-coefficient tuples of exactalg's kernel: holonomy, the squarefree
-certificate, residues mod phi and the display roots. The Laurent route
-(word_holonomy + eval_s_to_i) is kept as the independent cross-check.
+so rho(w) = i^k * P, where k counts letters (x_g -> 1, x_g^-1 -> 3, mod 4)
+and P is the product of w's freely reduced word in <N1, N2> = Z/2 * Z/2.
+A reduced word alternates, so its first generator and its length fix P;
+each such P is built once and memoized. The relator of every S(p, +-q)
+reduces to (x1, p - 1) and the longitude to the empty word, so a sweep
+builds one relator matrix per p and none for the longitude. The power form
+(rho(x1) rho(x2))^{(p-1)/2} is memoized per p and the squarefree
+certificate per phi; every per-knot check still runs for each knot. All
+t = -1 computation runs on the integer coefficient tuples of exactalg's
+kernel. The Laurent route (word_holonomy + eval_s_to_i) is kept as the
+independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .exactalg import (
     LB_ONE,
@@ -90,8 +97,10 @@ def riley_polynomial(K: TwoBridge) -> LaurentBiPoly:
 _CERT_PRIME = 2_147_483_647
 
 
+@lru_cache(maxsize=None)
 def _is_squarefree(phi: tuple) -> bool:
-    """Squarefreeness over Q of a monic integer polynomial.
+    """Squarefreeness over Q of a monic integer polynomial, memoized per
+    phi.
 
     A repeated factor of a monic phi is, by Gauss's lemma, a monic integer
     polynomial and survives reduction mod any prime, so a trivial
@@ -113,12 +122,32 @@ _IONE = (1,)
 
 def _holonomy_at_i(w: GroupWord):
     """rho(w) at t = -1 as (k, P): a unit i^k and a 2x2 integer-polynomial
-    matrix, rho(w) = i^k * P."""
-    A, B, C, D = _IONE, _IZERO, _IZERO, _IONE
-    k = 0
+    matrix, rho(w) = i^k * P.
+
+    The letters are walked with integers only: k mod 4, and the freely
+    reduced word in <N1, N2>, held as its length n and last generator
+    (an equal adjacent pair cancels, N_g^2 = id)."""
+    k = n = last = 0
     for g, e in w.letters:
         k += 1 if e == 1 else 3
-        if g == 1:
+        if n and g == last:
+            n -= 1
+            last = 3 - g
+        else:
+            n += 1
+            last = g
+    # the reduced word alternates, so its last letter and length fix its first
+    first = (last if n % 2 else 3 - last) if n else 1
+    return k % 4, _alternating_at_i(first, n)
+
+
+@lru_cache(maxsize=None)
+def _alternating_at_i(g: int, n: int):
+    """The product N_g N_g' N_g ... of n alternating factors, starting at
+    N_g, as an integer-polynomial matrix (A, B, C, D)."""
+    A, B, C, D = _IONE, _IZERO, _IZERO, _IONE
+    for j in range(n):
+        if (g + j) % 2 == 1:
             # right-multiply by N1 = [[1,-1],[0,-1]]
             A, B = A, _ineg(_iadd(A, B))
             C, D = C, _ineg(_iadd(C, D))
@@ -126,12 +155,13 @@ def _holonomy_at_i(w: GroupWord):
             # right-multiply by N2 = [[1,0],[-u,-1]]
             A, B = _isub(A, _ishift(B)), _ineg(B)
             C, D = _isub(C, _ishift(D)), _ineg(D)
-    return k % 4, (A, B, C, D)
+    return A, B, C, D
 
 
+@lru_cache(maxsize=None)
 def _power_x1x2_at_i(n: int):
     """((rho(x1) rho(x2)) at t=-1)^n = [[-1-u,-1],[-u,-1]]^n, folded with
-    shift/add steps only."""
+    shift/add steps only; memoized per n."""
     A, B, C, D = _IONE, _IZERO, _IZERO, _IONE
     for _ in range(n):
         # right-multiply by M = [[-1-u,-1],[-u,-1]]

@@ -2,8 +2,11 @@
 budget. Every check is exact; there are no numeric tolerances anywhere."""
 
 import itertools
+import json
 import random
 import time
+
+from click.testing import CliRunner
 
 from knotmeta.apoly import (
     APoly,
@@ -14,6 +17,7 @@ from knotmeta.apoly import (
     proposition_criteria,
     vertical_edge_check,
 )
+from knotmeta.cli import main
 from knotmeta.intlinalg import IntMat, det, torsion_solutions
 from knotmeta.knotdata import (
     SeifertKnot,
@@ -114,6 +118,22 @@ def test_relator_and_longitude_identities_p_le_25():
         assert lon.result == "id", (K.name, lon.result)
         assert lon.trace_is_two, K.name
     _report("relator and longitude identities, p <= 25", time.monotonic() - t0, 60)
+
+
+def test_sweep_p_le_101():
+    t0 = time.monotonic()
+    res = CliRunner().invoke(main, ["sweep", "--p-max", "101", "--negative-q", "-f", "json"])
+    assert res.exit_code == 0, res.stderr
+    rows = json.loads(res.stdout)
+    knots = all_two_bridge(101, include_negative_q=True)
+    assert len(rows) == len(knots)
+    assert {r["name"] for r in rows} == {K.name for K in knots}
+    for r in rows:
+        half = (r["p"] - 1) // 2
+        assert r["ok"] is True, r["name"]
+        assert r["det"] == r["p"], r["name"]
+        assert r["meta_count"] == r["riley_deg"] == half, r["name"]
+    _report("sweep --p-max 101 --negative-q", time.monotonic() - t0, 2)
 
 
 def test_8_20_fixture_numbers():

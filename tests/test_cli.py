@@ -222,6 +222,24 @@ class TestApolyAnalyze:
             f"error: record 0 (l2p1): small must be a JSON boolean, got {shown}\n"
         )
 
+    def test_nameless_record_named_by_index(self, runner, tmp_path):
+        # the loader's name, record-<i>, names a nameless record everywhere
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"type": "apoly", "terms": [{"m": 1, "l": 1, "c": 1}]}]))
+        res = runner.invoke(main, ["apoly-analyze", "-i", str(bad)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: record 0 (record-0): odd m-exponent 1; "
+            "m must appear in even powers\n"
+        )
+        good = tmp_path / "good.json"
+        nameless = {k: v for k, v in self.L2_PLUS_1.items() if k != "name"}
+        good.write_text(json.dumps([nameless]))
+        res = runner.invoke(main, ["apoly-analyze", "-i", str(good)])
+        assert res.exit_code == 0
+        assert res.stdout.startswith("record-0:\n")
+
     @pytest.mark.parametrize("det", ["-3", "0", "-1"])
     def test_non_positive_det_exits_2(self, runner, det):
         res = runner.invoke(main, ["apoly-analyze", "-i", APOLYS, "--det", det])
@@ -297,12 +315,18 @@ class TestSweep:
         res = runner.invoke(main, ["sweep", "--p-max", "8"])
         assert res.exit_code == 2
 
-    def test_json_matches_recording(self, runner):
-        res = runner.invoke(
-            main, ["sweep", "--p-max", "21", "--negative-q", "-f", "json"]
-        )
+    @pytest.mark.parametrize(
+        "argv, recording",
+        [
+            (["--p-max", "21", "--negative-q", "-f", "json"], "p21_negative_q.json"),
+            (["--p-max", "45", "--negative-q", "-f", "csv"], "p45_negative_q.csv"),
+        ],
+        ids=["p21_negative_q", "p45_negative_q"],
+    )
+    def test_json_matches_recording(self, runner, argv, recording):
+        res = runner.invoke(main, ["sweep", *argv])
         assert res.exit_code == 0
-        expected = RECORDED / "sweep" / "p21_negative_q.json"
+        expected = RECORDED / "sweep" / recording
         assert res.stdout == expected.read_text()
 
     def test_negative_q_doubles_rows(self, runner):

@@ -22,7 +22,13 @@ from knotmeta.exactalg import (
     _ishift,
     _isub,
 )
-from knotmeta.knotdata import GroupWord, TwoBridge, all_two_bridge, relator_word
+from knotmeta.knotdata import (
+    GroupWord,
+    TwoBridge,
+    all_two_bridge,
+    longitude_word,
+    relator_word,
+)
 from knotmeta.riley import (
     _CERT_PRIME,
     _holonomy_at_i,
@@ -41,6 +47,79 @@ from knotmeta.riley import (
 
 def tb(p, q):
     return TwoBridge(name=f"S({p},{q})", p=p, q=q)
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Start every test with empty t = -1 memos, so a test that counts the
+    work behind a memoized call sees that work whatever ran before it."""
+    for memo in (riley._alternating_at_i, riley._power_x1x2_at_i, riley._is_squarefree):
+        memo.cache_clear()
+
+
+def letter_walk_at_i(w):
+    """Reference for _holonomy_at_i: right-multiply by i*N_g letter by
+    letter, with no reduction and no memo."""
+    A, B, C, D = (1,), (), (), (1,)
+    k = 0
+    for g, e in w.letters:
+        k += 1 if e == 1 else 3
+        if g == 1:
+            A, B = A, _ineg(_iadd(A, B))
+            C, D = C, _ineg(_iadd(C, D))
+        else:
+            A, B = _isub(A, _ishift(B)), _ineg(B)
+            C, D = _isub(C, _ishift(D)), _ineg(D)
+    return k % 4, (A, B, C, D)
+
+
+class TestReducedHolonomy:
+    """_holonomy_at_i reduces the word in Z/2 * Z/2 and memoizes the
+    alternating product; it must agree with the plain letter walk and, at
+    small p, with the Laurent route."""
+
+    KNOTS = all_two_bridge(45, include_negative_q=True)
+
+    def test_matches_letter_walk_p_le_45(self):
+        assert len(self.KNOTS) == 422
+        for K in self.KNOTS:
+            for w in (relator_word(K), longitude_word(K)):
+                assert _holonomy_at_i(w) == letter_walk_at_i(w), K.name
+
+    def test_matches_laurent_route_p_le_15(self):
+        for K in all_two_bridge(15, include_negative_q=True):
+            for w in (relator_word(K), longitude_word(K)):
+                k, P = _holonomy_at_i(w)
+                sign = 1 if k == 0 else -1
+                lau = word_holonomy(w).entries()
+                assert P == tuple(
+                    tuple(sign * x for x in e.eval_s_to_i()) for e in lau
+                ), K.name
+
+    def test_relator_and_longitude_reduce(self):
+        # the relator alternates x1, x2 with no cancellation; the longitude
+        # cancels to the empty word with k = 0
+        identity = ((1,), (), (), (1,))
+        for K in self.KNOTS:
+            k, P = _holonomy_at_i(relator_word(K))
+            assert k % 2 == 0
+            # the memoized product for (x1, p - 1) itself, not a recomputation
+            assert P is riley._alternating_at_i(1, K.p - 1), K.name
+            assert _holonomy_at_i(longitude_word(K)) == (0, identity), K.name
+
+    def test_one_alternating_product_per_p(self):
+        for K in self.KNOTS:
+            section_at_minus_one(K)
+            verify_longitude_mod_phi(K)
+        # one relator product per p, and the empty word
+        p_values = {K.p for K in self.KNOTS}
+        assert riley._alternating_at_i.cache_info().currsize == len(p_values) + 1
+
+    def test_cancellation(self):
+        # x1 x2 x2^-1 x1^-1 x2 = i^{1+1+3+3+1} N2
+        w = GroupWord(((1, 1), (2, 1), (2, -1), (1, -1), (2, 1)))
+        assert _holonomy_at_i(w) == letter_walk_at_i(w)
+        assert _holonomy_at_i(w) == (1, riley._alternating_at_i(2, 1))
 
 
 class TestWordHolonomy:
