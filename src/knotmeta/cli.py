@@ -10,8 +10,8 @@ maps the package's errors to them in one place. JSON output is bit-stable
 
 from __future__ import annotations
 
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -28,6 +28,7 @@ from .knotdata import (
     load_apolys,
     load_knots,
 )
+from .metabelian import theta_str
 
 INPUT_ERRORS = (KnotDataError, apoly_mod.APolyError, IntLinAlgError)
 VERIFICATION_ERRORS = (riley.RileyError, metabelian.CensusError)
@@ -56,12 +57,43 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _json(o, indent="") -> str:
+    """The bytes of json.dumps(o, sort_keys=True, indent=2) for the only
+    types rows hold: dicts with str keys, lists, tuples, str, int, bool and
+    None. Any other type (a subclass, a float, a non-str key) raises
+    TypeError; encode_basestring_ascii raises it for a key."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is bool:
+        return "true" if o else "false"
+    if t is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    inner = indent + "  "
+    if t is dict:
+        if not o:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+            for k, v in sorted(o.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        items = [_json(v, inner) for v in o]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    raise TypeError(f"{t.__name__} has no JSON rendering here")
+
+
 def _emit(fmt, rows, line, columns=(), ok=True):
     """Write `rows` (a list of dicts or one dict) as JSON, as a table of
     `line(row)` strings, or, for a list of flat rows, as CSV over
     `columns`. Then exit 1 unless `ok`."""
     if fmt == "json":
-        click.echo(json.dumps(rows, sort_keys=True, indent=2))
+        click.echo(_json(rows))
     elif fmt == "csv":
         click.echo(",".join(columns))
         for r in rows:
@@ -142,7 +174,7 @@ def _seifert_only(path):
 def meta_enum_cmd(path, fmt):
     """Enumerate the metabelian character classes of Seifert-matrix knots."""
     rows = [
-        {"name": K.name, "thetas": [str(t) for t in c.thetas], "order": c.order}
+        {"name": K.name, "thetas": [theta_str(x, c.D) for x in c.k], "order": c.order}
         for K in _seifert_only(path)
         for c in metabelian.enumerate_metabelian(K)
     ]

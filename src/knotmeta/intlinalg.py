@@ -242,7 +242,9 @@ def torsion_solutions(W: IntMat) -> list:
     D psi = 0 mod 1, so psi_j runs over m/d_j and theta = Vt psi mod 1.
     Over the common denominator D each column j with d_j > 1 is the step
     Vt[:, j] * (D / d_j) mod D, and the solutions are the sums of multiples
-    of the steps. There are exactly |det W| of them.
+    of the steps. There are exactly |det W| of them. They are built one
+    coordinate at a time, as flat lists over the same combinations of
+    multiples, and zipped into tuples once.
     """
     if not W.is_square():
         raise IntLinAlgError("torsion solver needs a square matrix")
@@ -251,17 +253,12 @@ def torsion_solutions(W: IntMat) -> list:
     if any(d == 0 for d in diag):
         raise IntLinAlgError("singular matrix: det W = 0")
     D = math.prod(diag)
-    vt = snf.Vt.entries
-    sols = [(0,) * W.rows]
+    cols = [[0] for _ in range(W.rows)]
     for j, d in enumerate(diag):
         if d == 1:
             continue
-        step = [row[j] * (D // d) % D for row in vt]
-        multiples = [[m * x for x in step] for m in range(d)]
-        sols = [
-            tuple((x + y) % D for x, y in zip(k, mult))
-            for k in sols
-            for mult in multiples
-        ]
-    sols.sort()
-    return sols
+        for col, row in zip(cols, snf.Vt.entries):
+            s = row[j] * (D // d) % D
+            multiples = range(0, d * s, s) if s else (0,) * d
+            col[:] = [(x + y) % D for x in col for y in multiples]
+    return sorted(zip(*cols))

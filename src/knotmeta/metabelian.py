@@ -2,9 +2,9 @@
 
 The count is (|Delta_K(-1)| - 1)/2; the classes are the nonzero solutions
 of (V + V^T) theta = 0 over Q/Z, taken up to theta <-> -theta. Every
-solution has denominator dividing D = |det(V + V^T)|, so enumeration and
-verification run on integer numerators over D; Fractions are built only
-for the classes returned.
+solution has denominator dividing D = |det(V + V^T)|, so classes are held,
+verified and rendered as integer numerators over D; a Fraction is built
+only when a caller asks for `thetas` or a failure message needs one.
 """
 
 from __future__ import annotations
@@ -12,23 +12,42 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exactalg import Mat2
 from .intlinalg import torsion_solutions
 from .knotdata import KnotDataError, SeifertKnot, determinant_of_knot
 
 
+def theta_str(x: int, D: int) -> str:
+    """x/D in lowest terms, with the bytes of str(Fraction(x, D))."""
+    g = math.gcd(x, D)
+    return f"{x // g}/{D // g}" if g != D else str(x // g)
+
+
 @dataclass(frozen=True)
 class MetabelianClass:
     """A conjugacy class of irreducible metabelian representations,
-    encoded by the canonical rotation vector of generator eigenvalues."""
+    encoded by the canonical rotation vector theta = k / D of generator
+    eigenvalues, each numerator in [0, D)."""
 
-    thetas: tuple
-    order: int  # lcm of denominators: the common order of the eigenvalues
+    k: tuple
+    D: int
 
     def __post_init__(self):
-        if all(t == 0 for t in self.thetas):
-            raise ValueError("metabelian class cannot be the trivial vector")
+        if not (any(self.k) and 0 <= min(self.k) and max(self.k) < self.D):
+            raise ValueError(
+                "metabelian class needs numerators in [0, D), not all zero"
+            )
+
+    @property
+    def thetas(self) -> tuple:
+        return tuple(Fraction(x, self.D) for x in self.k)
+
+    @property
+    def order(self) -> int:
+        """The lcm of the thetas' denominators: the eigenvalues' order."""
+        return self.D // math.gcd(self.D, *self.k)
 
 
 class CensusError(RuntimeError):
@@ -68,20 +87,18 @@ def enumerate_metabelian(K: SeifertKnot) -> list:
 
     Always returns exactly (|det(V+V^T)| - 1)/2 classes, else raises
     CensusError. The torsion solutions come as integer vectors k over
-    D = |det|; D is odd, so k < -k mod D keeps exactly the canonical member
-    of each pair theta ~ -theta and drops theta = 0.
+    D = |det|. D is odd, so of k and -k mod D exactly the one whose first
+    nonzero entry is <= D // 2 is the lexicographic minimum; that keeps
+    the canonical member of each pair theta ~ -theta and drops theta = 0.
     """
     D = determinant_of_knot(K)
     expected = _census_size(D)
-    out = []
-    for k in torsion_solutions(K.symmetrized()):
-        if k < tuple(-x % D for x in k):
-            out.append(
-                MetabelianClass(
-                    thetas=tuple(Fraction(x, D) for x in k),
-                    order=D // math.gcd(D, *k),
-                )
-            )
+    half = D // 2
+    out = [
+        MetabelianClass(k, D)
+        for k in torsion_solutions(K.symmetrized())
+        if next(filter(None, k), D) <= half
+    ]
     if len(out) != expected:
         raise CensusError(K.name, len(out), expected)
     return out
@@ -96,20 +113,26 @@ _MERIDIAN_TRACE_ZERO = Mat2(0, 1, -1, 0).trace() == 0
 @dataclass(frozen=True)
 class ClassReport:
     knot: str
-    thetas: tuple
+    k: tuple  # theta = k / D
+    D: int
     relation_ok: bool
     irreducible_ok: bool
     meridian_trace_zero: bool
     failures: tuple = ()
 
     @property
+    def thetas(self) -> tuple:
+        return tuple(Fraction(x, self.D) for x in self.k)
+
+    @property
     def ok(self) -> bool:
         return self.relation_ok and self.irreducible_ok and self.meridian_trace_zero
 
     def to_dict(self) -> dict:
+        D = self.D
         return {
             "knot": self.knot,
-            "thetas": [str(t) for t in self.thetas],
+            "thetas": [theta_str(x, D) for x in self.k],
             "relation_ok": self.relation_ok,
             "irreducible_ok": self.irreducible_ok,
             "meridian_trace_zero": self.meridian_trace_zero,
@@ -124,28 +147,33 @@ def verify_class(K: SeifertKnot, c) -> ClassReport:
     generator trace differs from 2 (irreducibility), (c) trace of the
     meridian image is 0.
 
-    The checks run on integers: with L the lcm of the denominators and
-    theta = k / L, row i holds iff sum_j W_ij k_j = 0 mod L.
-
-    Accepts a MetabelianClass or a bare rotation tuple, so deliberately
-    bad vectors (including zero) can be fed through the same checks."""
+    The checks run on integers: with theta = k / D, row i holds iff
+    sum_j W_ij k_j = 0 mod D. A MetabelianClass hands over its (k, D); a
+    bare rotation tuple is first reduced mod 1 to (k, L), L the lcm of its
+    denominators, so deliberately bad vectors (including zero) go through
+    the same checks. A vector whose length is not the size of W raises
+    ValueError."""
     if isinstance(c, MetabelianClass):
-        thetas = c.thetas
+        ks, D = c.k, c.D
     else:
-        thetas = tuple(Fraction(t) % 1 for t in c)
-    L = math.lcm(*(t.denominator for t in thetas))
-    ks = [t.numerator * (L // t.denominator) for t in thetas]
+        thetas = [Fraction(t) % 1 for t in c]
+        D = math.lcm(*(t.denominator for t in thetas))
+        ks = tuple(t.numerator * (D // t.denominator) for t in thetas)
+    W = K.symmetrized()
+    if len(ks) != W.rows:
+        raise ValueError(
+            f"{K.name}: rotation vector has {len(ks)} entries, W has {W.rows} rows"
+        )
     failures = []
-    relation_ok = True
-    for i, row in enumerate(K.symmetrized().entries):
-        s = sum(w * k for w, k in zip(row, ks))
-        if s % L:
-            relation_ok = False
+    for i, row in enumerate(W.entries):
+        s = sum(map(mul, row, ks))
+        if s % D:
             failures.append(
-                f"row {i}: W.theta = {Fraction(s, L)} is not an integer"
+                f"row {i}: W.theta = {Fraction(s, D)} is not an integer"
             )
+    relation_ok = not failures
 
-    irreducible_ok = any(k % L for k in ks)
+    irreducible_ok = any(x % D for x in ks)
     if not irreducible_ok:
         failures.append("theta = 0: abelian, not irreducible")
 
@@ -155,7 +183,8 @@ def verify_class(K: SeifertKnot, c) -> ClassReport:
 
     return ClassReport(
         knot=K.name,
-        thetas=thetas,
+        k=ks,
+        D=D,
         relation_ok=relation_ok,
         irreducible_ok=irreducible_ok,
         meridian_trace_zero=meridian_trace_zero,

@@ -1,6 +1,7 @@
 """Acceptance battery: the headline claims, each with an explicit time
 budget. Every check is exact; there are no numeric tolerances anywhere."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -67,6 +68,25 @@ def test_census_genus_2_det_7113():
         report = verify_class(K, c)
         assert report.ok, report.failures
     _report("det 7113 census enumerated and verified", time.monotonic() - t0, 1)
+
+
+def test_census_cli_genus_1_det_99999(tmp_path):
+    # V + V^T = [[50, 1], [1, 2000]], torsion Z/99999: 49 999 classes.
+    # The digests pin the bytes of both JSON reports.
+    path = tmp_path / "knots.json"
+    path.write_text(
+        json.dumps([{"type": "seifert", "name": "g1-det99999", "V": [[25, 1], [0, 1000]]}])
+    )
+    expected = {
+        "meta-enum": "ea50d58803d59d8e7018c5b395c184b8b512cf7ca0ede6df92e49f127e67df37",
+        "meta-verify": "eed4f12f11337e0d702071b686e70ee7586fae0d091f3c2805b4029f74ddf986",
+    }
+    t0 = time.monotonic()
+    for cmd, digest in expected.items():
+        res = CliRunner().invoke(main, [cmd, "-i", str(path), "-f", "json"])
+        assert res.exit_code == 0, res.stderr
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest, cmd
+    _report("meta-enum and meta-verify, det 99999", time.monotonic() - t0, 2)
 
 
 def test_torsion_count_against_brute_force():

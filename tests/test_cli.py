@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotmeta import cli, metabelian
 from knotmeta.cli import main
@@ -490,3 +493,34 @@ class TestStrictIngest:
         res = runner.invoke(main, ["det", "-i", str(path)])
         assert res.exit_code == 0
         assert res.stdout == "K: 7\n"
+
+
+# Keys and strings reach non-ASCII (escaped as \uXXXX, surrogate pairs
+# above U+FFFF), quotes, backslashes and control characters.
+_json_text = st.text(
+    st.characters()
+    | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f')
+)
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | _json_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(json_documents)
+    def test_same_bytes_as_json_dumps(self, doc):
+        assert cli._json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [1.0, Fraction(1, 3), {1: "a"}, {"a": [0, {(1,): None}]}, [True, 0.5]],
+        ids=["float", "Fraction", "int key", "nested tuple key", "nested float"],
+    )
+    def test_other_types_raise(self, doc):
+        with pytest.raises(TypeError):
+            cli._json(doc)

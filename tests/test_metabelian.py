@@ -13,6 +13,7 @@ from knotmeta.metabelian import (
     canonical_rotation,
     count_metabelian,
     enumerate_metabelian,
+    theta_str,
     verify_class,
 )
 
@@ -124,10 +125,21 @@ class TestEnumerate:
                 assert canonical_rotation(neg) == c.thetas
 
 
+def test_theta_str_matches_fraction():
+    for D in (1, 3, 9, 15, 105):
+        for x in range(-2 * D, 2 * D + 1):
+            assert theta_str(x, D) == str(Fraction(x, D)), (x, D)
+
+
 class TestBuildRepresentation:
     def test_rejects_trivial_class(self):
         with pytest.raises(ValueError):
-            MetabelianClass(thetas=(Fraction(0), Fraction(0)), order=1)
+            MetabelianClass(k=(0, 0), D=3)
+
+    def test_rejects_numerators_outside_zero_to_d(self):
+        for k in ((3, 0), (-1, 1)):
+            with pytest.raises(ValueError):
+                MetabelianClass(k=k, D=3)
 
 
 class TestVerifyClass:
@@ -142,6 +154,18 @@ class TestVerifyClass:
         report = verify_class(TREFOIL, (Fraction(1, 4), Fraction(1, 4)))
         assert not report.relation_ok
         assert any("row" in f for f in report.failures)
+
+    def test_wrong_length_vector_raises(self):
+        # W is 2x2; zip would silently drop a third entry or check one row
+        for theta in (
+            (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)),
+            (Fraction(1, 3),),
+        ):
+            with pytest.raises(ValueError) as info:
+                verify_class(TREFOIL, theta)
+            assert str(info.value) == (
+                f"3_1: rotation vector has {len(theta)} entries, W has 2 rows"
+            )
 
     def test_zero_vector_fails_irreducibility(self):
         report = verify_class(TREFOIL, (Fraction(0), Fraction(0)))
