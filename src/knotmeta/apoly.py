@@ -3,14 +3,15 @@ vertical-edge test, the 2-bridge degree bound, and the irreducible
 non-metabelian criteria.
 
 A-polynomials are ingested as data (abelian factor l-1 already removed);
-nothing here computes them from a character variety.
+nothing here computes them from a character variety. A root omega in Q(i)
+of A(sqrt(-1), l) and the trace omega + omega^{-1} are held as integer
+triples (a, b, d) for (a + b*i)/d and rendered with exactalg.ratio_str.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .exactalg import (
     _iadd,
@@ -20,6 +21,7 @@ from .exactalg import (
     poly_derivative,
     poly_gcd,
     poly_str,
+    ratio_str,
 )
 from .knotdata import TwoBridge, json_typed
 
@@ -42,8 +44,7 @@ def _lstr(p: tuple) -> str:
     return poly_str(p).replace("u", "l")
 
 
-@dataclass(frozen=True)
-class APoly:
+class APoly(NamedTuple):
     """Integer bivariate polynomial in (m, l), sparse on exponent pairs.
 
     Invariants enforced at construction: nonzero, only even m-exponents,
@@ -146,8 +147,7 @@ def vertical_edge_check(A: APoly) -> bool:
     return len(left) > 1 or len(right) > 1
 
 
-@dataclass(frozen=True)
-class FactorProfile:
+class FactorProfile(NamedTuple):
     """eval = l^a (l-1)^b (l+1)^c * residual, extracted by exact division."""
 
     a: int
@@ -198,12 +198,12 @@ def factor_profile(A: APoly) -> FactorProfile:
 
 
 def _residual_roots(p: tuple):
-    """Exact roots in Q(i), as (re, im) pairs of Fractions, of an integer
-    residual of degree <= 2, else None. A quadratic's roots lie in Q(i)
-    iff |disc| is a square."""
+    """Exact roots in Q(i) of an integer residual of degree <= 2, each as
+    integers (a, b, d) with root (a + b*i)/d, d != 0; else None. A
+    quadratic's roots lie in Q(i) iff |disc| is a square."""
     if len(p) == 2:
         c0, c1 = p
-        return [(Fraction(-c0, c1), Fraction(0))]
+        return [(-c0, 0, c1)]
     if len(p) == 3:
         c0, c1, c2 = p
         disc = c1 * c1 - 4 * c2 * c0
@@ -211,25 +211,22 @@ def _residual_roots(p: tuple):
         if r * r != abs(disc):
             return None
         re, im = (r, 0) if disc >= 0 else (0, r)
-        return [
-            (Fraction(s * re - c1, 2 * c2), Fraction(s * im, 2 * c2))
-            for s in (1, -1)
-        ]
+        return [(s * re - c1, s * im, 2 * c2) for s in (1, -1)]
     return None
 
 
-def _gauss_str(re: Fraction, im: Fraction) -> str:
-    """Render re + im*i as "re", "im*i" or "re+im*i" (re-|im|*i)."""
-    if not im:
-        return str(re)
-    if not re:
-        return f"{im}*i"
-    sign = "+" if im > 0 else "-"
-    return f"{re}{sign}{abs(im)}*i"
+def _gauss_str(a: int, b: int, d: int) -> str:
+    """Render (a + b*i)/d as "re", "im*i" or "re+im*i" (re-|im|*i), each
+    part with the bytes of str(Fraction)."""
+    if not b:
+        return ratio_str(a, d)
+    if not a:
+        return f"{ratio_str(b, d)}*i"
+    sign = "+" if (b > 0) == (d > 0) else "-"
+    return f"{ratio_str(a, d)}{sign}{ratio_str(abs(b), abs(d))}*i"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     kind: str   # "arcs", "trace-free-nonmetabelian", "inconclusive", "none"
     detail: str
 
@@ -258,7 +255,7 @@ def proposition_criteria(A: APoly) -> list:
     findings = []
     omegas = []
     if prof.c > 0:
-        omegas.append((Fraction(-1), Fraction(0)))
+        omegas.append((-1, 0, 1))
     residual_desc = None
     if len(prof.residual) > 1:
         roots = _residual_roots(prof.residual)
@@ -272,17 +269,17 @@ def proposition_criteria(A: APoly) -> list:
     has_other_factor = prof.c > 0 or len(prof.residual) > 1
     if has_other_factor:
         if A.small_flag:
-            for re, im in omegas:
-                # omega + omega^{-1}, with omega^{-1} = (re - im*i)/|omega|^2
-                n = re * re + im * im
-                trace = _gauss_str(re + re / n, im - im / n)
+            for a, b, d in omegas:
+                # omega + omega^{-1}, with omega^{-1} = (a - b*i)*d/n
+                n, dd = a * a + b * b, d * d
+                trace = _gauss_str(a * (n + dd), b * (n - dd), d * n)
                 findings.append(
                     Finding(
                         kind="trace-free-nonmetabelian",
                         detail=(
                             "irreducible non-metabelian representation with "
                             f"trace(rho(mu))=0 exists, omega = "
-                            f"{_gauss_str(re, im)}, trace(rho(lambda)) = {trace}"
+                            f"{_gauss_str(a, b, d)}, trace(rho(lambda)) = {trace}"
                         ),
                     )
                 )
@@ -303,8 +300,7 @@ def proposition_criteria(A: APoly) -> list:
     return findings
 
 
-@dataclass(frozen=True)
-class DegreeBoundReport:
+class DegreeBoundReport(NamedTuple):
     knot: str
     applicable: bool
     deg_l: int
@@ -365,8 +361,7 @@ def degree_bound_check(A: APoly) -> DegreeBoundReport:
     return report
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     knot: str
     k: int
     bound: int
@@ -415,8 +410,7 @@ def squarefree_in_l_warning(A: APoly) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class AnalyzerReport:
+class AnalyzerReport(NamedTuple):
     name: str
     deg_l: int
     eval_at_i: tuple

@@ -17,7 +17,7 @@ import click
 
 from . import apoly as apoly_mod
 from . import metabelian, riley
-from .exactalg import poly_str
+from .exactalg import poly_str, ratio_str
 from .intlinalg import IntLinAlgError
 from .knotdata import (
     KnotDataError,
@@ -28,7 +28,6 @@ from .knotdata import (
     load_apolys,
     load_knots,
 )
-from .metabelian import theta_str
 
 INPUT_ERRORS = (KnotDataError, apoly_mod.APolyError, IntLinAlgError)
 VERIFICATION_ERRORS = (riley.RileyError, metabelian.CensusError)
@@ -174,7 +173,7 @@ def _seifert_only(path):
 def meta_enum_cmd(path, fmt):
     """Enumerate the metabelian character classes of Seifert-matrix knots."""
     rows = [
-        {"name": K.name, "thetas": [theta_str(x, c.D) for x in c.k], "order": c.order}
+        {"name": K.name, "thetas": [ratio_str(x, c.D) for x in c.k], "order": c.order}
         for K in _seifert_only(path)
         for c in metabelian.enumerate_metabelian(K)
     ]

@@ -169,6 +169,16 @@ def poly_str(a: tuple) -> str:
     return " + ".join(parts)
 
 
+def ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms over a positive denominator, with the bytes
+    of str(Fraction(num, den)): "n/d", or "n" when d = 1."""
+    if not den:
+        raise ZeroDivisionError(f"ratio {num}/0")
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    num, den = num // g, den // g
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
 class LaurentBiPoly:
     """Sparse element of Z[s^{+-1}][u]: map (s-exponent, u-exponent) -> int.
 

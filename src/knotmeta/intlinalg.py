@@ -5,7 +5,7 @@ unimodular transforms, and the torsion solver for W*theta = 0 over Q/Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class IntLinAlgError(ValueError):
@@ -113,8 +113,7 @@ def det(M: IntMat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """U @ W @ Vt = D with U, Vt unimodular and D = diag(d_1,...,d_n),
     d_i >= 0 and d_i | d_{i+1}."""
 

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from importlib import resources
+from typing import NamedTuple
 
 from .intlinalg import IntMat, det
 
@@ -27,27 +26,33 @@ def json_typed(value, what: str, kind: type = int):
     return value
 
 
-@dataclass(frozen=True)
-class SeifertKnot:
-    """A knot given by a 2g x 2g Seifert matrix V of a free Seifert surface."""
+class SeifertKnot(NamedTuple("SeifertKnot", [("name", str), ("V", IntMat), ("W", IntMat)])):
+    """A knot given by a 2g x 2g Seifert matrix V of a free Seifert surface.
+    W = V + V^T is derived on construction, not passed."""
 
-    name: str
-    V: IntMat
-    W: IntMat = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        V = self.V
+    def __new__(cls, name: str, V: IntMat):
         if not V.is_square() or V.rows % 2 != 0:
             raise KnotDataError(
-                f"{self.name}: Seifert matrix must be square of even dimension"
+                f"{name}: Seifert matrix must be square of even dimension"
             )
         # V - V^T is the intersection form of a symplectic basis
         if det(V - V.transpose()) != 1:
             raise KnotDataError(
-                f"{self.name}: det(V - V^T) != 1; not a Seifert matrix "
+                f"{name}: det(V - V^T) != 1; not a Seifert matrix "
                 "w.r.t. a symplectic basis"
             )
-        object.__setattr__(self, "W", V + V.transpose())
+        return tuple.__new__(cls, (name, V, V + V.transpose()))
+
+    # _replace builds through _make: check again and derive W afresh
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:2]))
+
+    def __getnewargs__(self):
+        return self.name, self.V
+
+    def __repr__(self):
+        return f"SeifertKnot(name={self.name!r}, V={self.V!r})"
 
     @property
     def genus(self) -> int:
@@ -59,36 +64,38 @@ class SeifertKnot:
         return self.W
 
 
-@dataclass(frozen=True)
-class TwoBridge:
+class TwoBridge(NamedTuple("TwoBridge", [("name", str), ("p", int), ("q", int)])):
     """The 2-bridge knot S(p,q), p and q coprime odd, p > |q| > 0."""
 
-    name: str
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __new__(cls, name: str, p: int, q: int):
         if p % 2 == 0 or p < 3:
-            raise KnotDataError(f"{self.name}: p must be odd and >= 3, got {p}")
+            raise KnotDataError(f"{name}: p must be odd and >= 3, got {p}")
         if q % 2 == 0:
-            raise KnotDataError(f"{self.name}: q must be odd, got {q}")
+            raise KnotDataError(f"{name}: q must be odd, got {q}")
         if not (p > abs(q) > 0):
-            raise KnotDataError(f"{self.name}: need p > |q| > 0, got ({p}, {q})")
+            raise KnotDataError(f"{name}: need p > |q| > 0, got ({p}, {q})")
         if math.gcd(p, abs(q)) != 1:
-            raise KnotDataError(f"{self.name}: p and q must be coprime")
+            raise KnotDataError(f"{name}: p and q must be coprime")
+        return tuple.__new__(cls, (name, p, q))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
 
-@dataclass(frozen=True)
-class GroupWord:
-    """A word in the two generators x1, x2: letters are (generator, +-1)."""
+class GroupWord(NamedTuple("GroupWord", [("letters", tuple)])):
+    """A word in the two generators x1, x2: letters are (generator, +-1).
+    Its length is the number of letters and `*` concatenates."""
 
-    letters: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g, e in self.letters:
+    def __new__(cls, letters: tuple):
+        for g, e in letters:
             if g not in (1, 2) or e not in (1, -1):
                 raise KnotDataError(f"bad letter ({g}, {e}) in group word")
+        return tuple.__new__(cls, (letters,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __len__(self):
         return len(self.letters)
@@ -227,6 +234,8 @@ def record_of(model) -> dict:
 
 def fixture_path(name: str):
     """Path to a bundled fixture file (e.g. 'seifert_knots.json')."""
+    from importlib import resources
+
     return resources.files("knotmeta.data").joinpath(name)
 
 

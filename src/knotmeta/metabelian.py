@@ -3,45 +3,41 @@
 The count is (|Delta_K(-1)| - 1)/2; the classes are the nonzero solutions
 of (V + V^T) theta = 0 over Q/Z, taken up to theta <-> -theta. Every
 solution has denominator dividing D = |det(V + V^T)|, so classes are held,
-verified and rendered as integer numerators over D; a Fraction is built
-only when a caller asks for `thetas` or a failure message needs one.
+verified and rendered (exactalg.ratio_str) as integer numerators over D; a
+Fraction is built only when a library caller asks for `thetas`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
-from .exactalg import Mat2
+from .exactalg import Mat2, ratio_str
 from .intlinalg import torsion_solutions
 from .knotdata import KnotDataError, SeifertKnot, determinant_of_knot
 
 
-def theta_str(x: int, D: int) -> str:
-    """x/D in lowest terms, with the bytes of str(Fraction(x, D))."""
-    g = math.gcd(x, D)
-    return f"{x // g}/{D // g}" if g != D else str(x // g)
-
-
-@dataclass(frozen=True)
-class MetabelianClass:
+class MetabelianClass(NamedTuple("MetabelianClass", [("k", tuple), ("D", int)])):
     """A conjugacy class of irreducible metabelian representations,
     encoded by the canonical rotation vector theta = k / D of generator
     eigenvalues, each numerator in [0, D)."""
 
-    k: tuple
-    D: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (any(self.k) and 0 <= min(self.k) and max(self.k) < self.D):
+    def __new__(cls, k: tuple, D: int):
+        if not (any(k) and 0 <= min(k) and max(k) < D):
             raise ValueError(
                 "metabelian class needs numerators in [0, D), not all zero"
             )
+        return tuple.__new__(cls, (k, D))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     @property
     def thetas(self) -> tuple:
+        from fractions import Fraction
+
         return tuple(Fraction(x, self.D) for x in self.k)
 
     @property
@@ -75,9 +71,24 @@ def count_metabelian(K) -> int:
     return _census_size(determinant_of_knot(K))
 
 
+def _exact(thetas, knot: str = "") -> list:
+    """The entries of a rotation vector, each with an integer numerator and
+    denominator. Any other entry, such as a float or a str, raises
+    ValueError naming its index; it is never coerced."""
+    thetas = list(thetas)
+    for i, t in enumerate(thetas):
+        n, d = getattr(t, "numerator", None), getattr(t, "denominator", None)
+        if not (isinstance(n, int) and isinstance(d, int)):
+            raise ValueError(
+                f"{knot}rotation vector entry {i} is {t!r}, not an exact rational"
+            )
+    return thetas
+
+
 def canonical_rotation(thetas) -> tuple:
-    """Lexicographic minimum of {theta, -theta mod 1}."""
-    thetas = tuple(Fraction(t) % 1 for t in thetas)
+    """Lexicographic minimum of {theta, -theta mod 1}, for exact entries
+    (int or Fraction)."""
+    thetas = tuple(t % 1 for t in _exact(thetas))
     neg = tuple((-t) % 1 for t in thetas)
     return min(thetas, neg)
 
@@ -110,8 +121,7 @@ def enumerate_metabelian(K: SeifertKnot) -> list:
 _MERIDIAN_TRACE_ZERO = Mat2(0, 1, -1, 0).trace() == 0
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     knot: str
     k: tuple  # theta = k / D
     D: int
@@ -122,6 +132,8 @@ class ClassReport:
 
     @property
     def thetas(self) -> tuple:
+        from fractions import Fraction
+
         return tuple(Fraction(x, self.D) for x in self.k)
 
     @property
@@ -132,7 +144,7 @@ class ClassReport:
         D = self.D
         return {
             "knot": self.knot,
-            "thetas": [theta_str(x, D) for x in self.k],
+            "thetas": [ratio_str(x, D) for x in self.k],
             "relation_ok": self.relation_ok,
             "irreducible_ok": self.irreducible_ok,
             "meridian_trace_zero": self.meridian_trace_zero,
@@ -149,16 +161,17 @@ def verify_class(K: SeifertKnot, c) -> ClassReport:
 
     The checks run on integers: with theta = k / D, row i holds iff
     sum_j W_ij k_j = 0 mod D. A MetabelianClass hands over its (k, D); a
-    bare rotation tuple is first reduced mod 1 to (k, L), L the lcm of its
-    denominators, so deliberately bad vectors (including zero) go through
-    the same checks. A vector whose length is not the size of W raises
+    bare rotation tuple of ints and Fractions is first reduced mod 1 to
+    (k, L), L the lcm of its denominators, so deliberately bad vectors
+    (including zero) go through the same checks. A vector with an inexact
+    entry (a float, a str) or whose length is not the size of W raises
     ValueError."""
     if isinstance(c, MetabelianClass):
         ks, D = c.k, c.D
     else:
-        thetas = [Fraction(t) % 1 for t in c]
+        thetas = _exact(c, f"{K.name}: ")
         D = math.lcm(*(t.denominator for t in thetas))
-        ks = tuple(t.numerator * (D // t.denominator) for t in thetas)
+        ks = tuple(t.numerator * (D // t.denominator) % D for t in thetas)
     W = K.symmetrized()
     if len(ks) != W.rows:
         raise ValueError(
@@ -168,9 +181,7 @@ def verify_class(K: SeifertKnot, c) -> ClassReport:
     for i, row in enumerate(W.entries):
         s = sum(map(mul, row, ks))
         if s % D:
-            failures.append(
-                f"row {i}: W.theta = {Fraction(s, D)} is not an integer"
-            )
+            failures.append(f"row {i}: W.theta = {ratio_str(s, D)} is not an integer")
     relation_ok = not failures
 
     irreducible_ok = any(x % D for x in ks)

@@ -22,8 +22,8 @@ independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exactalg import (
     LB_ONE,
@@ -181,8 +181,7 @@ def _scaled_eq(k: int, P: tuple, Q: tuple) -> bool:
 # ---------------------------------------------------------------------------
 # The t = -1 section
 
-@dataclass(frozen=True)
-class RileySection:
+class RileySection(NamedTuple):
     p: int
     q: int
     phi: tuple       # phi(-1,u), content-free, positive leading coefficient
@@ -192,7 +191,7 @@ class RileySection:
     squarefree: bool
     # the relator holonomy: rho(w) at t = -1 is i^k times this integer
     # matrix (A, B, C, D), k even
-    relator: tuple = field(repr=False)
+    relator: tuple
 
 
 def section_at_minus_one(K: TwoBridge) -> RileySection:
@@ -267,8 +266,7 @@ def _section_for(K: TwoBridge, section: RileySection | None) -> RileySection:
 # ---------------------------------------------------------------------------
 # Verification in the residue ring Z[u]/(phi(-1,u))
 
-@dataclass(frozen=True)
-class RelatorReport:
+class RelatorReport(NamedTuple):
     knot: str
     ok: bool
     # the four entries of rho(w)rho(x1) - rho(x2)rho(w) mod phi: integer
@@ -313,8 +311,7 @@ def verify_relator_mod_phi(
     return RelatorReport(knot=K.name, ok=not any(residues), residues=residues)
 
 
-@dataclass(frozen=True)
-class LongitudeReport:
+class LongitudeReport(NamedTuple):
     knot: str
     result: str  # "id", "-id", or "neither"
     trace_is_two: bool
@@ -351,8 +348,7 @@ def verify_longitude_mod_phi(
     return LongitudeReport(knot=K.name, result=result, trace_is_two=trace == ())
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     knot: str
     riley_root_count: int
     half_p_minus_one: int

@@ -21,6 +21,7 @@ from knotmeta.exactalg import (
     poly_derivative,
     poly_gcd,
     poly_str,
+    ratio_str,
 )
 
 
@@ -222,3 +223,18 @@ def test_laurent_ring_axioms(p, q, r):
 def test_eval_s_to_i_is_ring_homomorphism(p, q):
     assert (p * q).eval_s_to_i() == mul(p.eval_s_to_i(), q.eval_s_to_i())
     assert (p + q).eval_s_to_i() == _iadd(p.eval_s_to_i(), q.eval_s_to_i())
+
+
+# small values (zero, units, shared factors) and values far beyond one word
+_ratio_ints = st.integers(-12, 12) | st.integers(-(2**130), 2**130)
+
+
+@settings(derandomize=True, max_examples=400, database=None)
+@given(_ratio_ints, _ratio_ints.filter(bool))
+def test_ratio_str_matches_fraction(num, den):
+    assert ratio_str(num, den) == str(Fraction(num, den))
+
+
+def test_ratio_str_zero_denominator_raises():
+    with pytest.raises(ZeroDivisionError):
+        ratio_str(1, 0)

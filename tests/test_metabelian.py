@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from knotmeta import metabelian
+from knotmeta.exactalg import ratio_str
 from knotmeta.intlinalg import IntMat, det
 from knotmeta.knotdata import KnotDataError, SeifertKnot, TwoBridge
 from knotmeta.metabelian import (
@@ -13,7 +14,6 @@ from knotmeta.metabelian import (
     canonical_rotation,
     count_metabelian,
     enumerate_metabelian,
-    theta_str,
     verify_class,
 )
 
@@ -128,7 +128,7 @@ class TestEnumerate:
 def test_theta_str_matches_fraction():
     for D in (1, 3, 9, 15, 105):
         for x in range(-2 * D, 2 * D + 1):
-            assert theta_str(x, D) == str(Fraction(x, D)), (x, D)
+            assert ratio_str(x, D) == str(Fraction(x, D)), (x, D)
 
 
 class TestBuildRepresentation:
@@ -166,6 +166,23 @@ class TestVerifyClass:
             assert str(info.value) == (
                 f"3_1: rotation vector has {len(theta)} entries, W has 2 rows"
             )
+
+    def test_inexact_entries_raise(self):
+        # a float used to be read as its binary fraction and fail a row
+        for theta, i in (((1 / 3, 2 / 3), 0), ((Fraction(1, 3), "2/3"), 1)):
+            with pytest.raises(ValueError) as info:
+                verify_class(TREFOIL, theta)
+            assert str(info.value) == (
+                f"3_1: rotation vector entry {i} is {theta[i]!r}, not an exact rational"
+            )
+        with pytest.raises(ValueError, match="entry 0 is 0.5"):
+            canonical_rotation((0.5, Fraction(1, 2)))
+
+    def test_int_entries_reduce_like_fractions(self):
+        mixed = verify_class(TREFOIL, (1, Fraction(-2, 3)))
+        assert mixed == verify_class(TREFOIL, (Fraction(0), Fraction(1, 3)))
+        assert mixed.to_dict()["thetas"] == ["0", "1/3"]
+        assert verify_class(TREFOIL, (Fraction(4, 3), Fraction(-1, 3))).ok
 
     def test_zero_vector_fails_irreducibility(self):
         report = verify_class(TREFOIL, (Fraction(0), Fraction(0)))

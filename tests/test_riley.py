@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -294,7 +293,7 @@ class TestVerifyOps:
         assert walks == []
         # a wrong holonomy in the section must show as a residue
         A, B, C, D = sec.relator
-        bad = dataclasses.replace(sec, relator=(A, B, _iadd(C, (1,)), D))
+        bad = sec._replace(relator=(A, B, _iadd(C, (1,)), D))
         assert not verify_relator_mod_phi(K, bad).ok
 
 
