@@ -11,6 +11,7 @@ triples (a, b, d) for (a + b*i)/d and rendered with exactalg.ratio_str.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .exactalg import (
@@ -61,7 +62,7 @@ class APoly(NamedTuple):
     def from_terms(cls, name, terms, pq=None, small_flag=None) -> "APoly":
         clean = {}
         for (me, le), c in dict(terms).items():
-            me, le, c = int(me), int(le), int(c)
+            me, le, c = map(operator.index, (me, le, c))
             if c == 0:
                 continue
             if me < 0 or le < 0:
@@ -85,7 +86,7 @@ class APoly(NamedTuple):
                 f"{name}: divisible by l-1; the abelian factor must be removed"
             )
         if pq is not None:
-            pq = (int(pq[0]), int(pq[1]))
+            pq = tuple(map(operator.index, pq))
             TwoBridge(name, *pq)  # KnotDataError unless S(p, q) is a knot
         return cls(name=name, terms=tuple(items), pq=pq, small_flag=small_flag)
 
@@ -231,7 +232,7 @@ class Finding(NamedTuple):
     detail: str
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "detail": self.detail}
+        return self._asdict()
 
 
 def proposition_criteria(A: APoly) -> list:
@@ -316,16 +317,7 @@ class DegreeBoundReport(NamedTuple):
         return bool(self.pure_l_minus_1_power) and self.slack is not None and self.slack >= 0
 
     def to_dict(self) -> dict:
-        return {
-            "knot": self.knot,
-            "applicable": self.applicable,
-            "deg_l": self.deg_l,
-            "bound": self.bound,
-            "slack": self.slack,
-            "pure_l_minus_1_power": self.pure_l_minus_1_power,
-            "k": self.k,
-            "ok": self.ok,
-        }
+        return {**self._asdict(), "ok": self.ok}
 
 
 def degree_bound_check(A: APoly) -> DegreeBoundReport:
@@ -369,13 +361,7 @@ class ProbeReport(NamedTuple):
     note: str = "conjecture probe only, not an assertion"
 
     def to_dict(self) -> dict:
-        return {
-            "knot": self.knot,
-            "k": self.k,
-            "bound": self.bound,
-            "within_bound": self.within_bound,
-            "note": self.note,
-        }
+        return self._asdict()
 
 
 def metabelian_multiplicity_probe(A: APoly, det: int) -> ProbeReport:

@@ -1,17 +1,20 @@
-"""Exact arithmetic kernel: dense univariate polynomials over Z, the sparse
-bivariate Laurent ring Z[s^{+-1}][u], and generic 2x2 matrices.
+"""Exact arithmetic kernel: dense univariate polynomials over Z and the
+sparse bivariate Laurent ring Z[s^{+-1}][u].
 
 A polynomial over Z is a tuple of int coefficients, constant term first,
 with no trailing zeros; () is the zero polynomial. Every univariate
 computation in the package (phi(-1,u), its residues and roots, and
 A(sqrt(-1), l)) runs on these tuples.
 
+An element of Z[s^{+-1}][u] is a LaurentBiPoly record holding its dict of
+terms; a 2x2 matrix over either ring is the plain tuple (a, b, c, d).
 Everything here is immutable and pure; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +182,17 @@ def ratio_str(num: int, den: int) -> str:
     return f"{num}/{den}" if den != 1 else str(num)
 
 
-class LaurentBiPoly:
+class LaurentBiPoly(NamedTuple("LaurentBiPoly", [("terms", dict)])):
     """Sparse element of Z[s^{+-1}][u]: map (s-exponent, u-exponent) -> int.
 
     The half variable s satisfies s^2 = t; u-exponents are nonnegative,
-    s-exponents may be negative. Zero coefficients are never stored.
+    s-exponents may be negative. Zero coefficients are never stored, so
+    equal polynomials hold equal dicts; no dict is changed once built.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
+    def __new__(cls, terms=None):
         clean = {}
         if terms:
             for (se, ue), c in terms.items():
@@ -198,38 +202,14 @@ class LaurentBiPoly:
                     raise ValueError("u-exponents must be nonnegative")
                 if c:
                     clean[(se, ue)] = c
-        object.__setattr__(self, "terms", clean)
+        return tuple.__new__(cls, (clean,))
 
-    def __setattr__(self, *args):
-        raise AttributeError("LaurentBiPoly is immutable")
-
-    @classmethod
-    def const(cls, c: int) -> "LaurentBiPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, c: int, s_exp: int, u_exp: int = 0) -> "LaurentBiPoly":
-        return cls({(s_exp, u_exp): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __bool__(self):
         return bool(self.terms)
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentBiPoly.const(other)
-        if not isinstance(other, LaurentBiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentBiPoly.const(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             v = out.get(k, 0) + c
@@ -239,19 +219,13 @@ class LaurentBiPoly:
                 out.pop(k, None)
         return LaurentBiPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentBiPoly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentBiPoly.const(other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = LaurentBiPoly.const(other)
         if not isinstance(other, LaurentBiPoly):
             return NotImplemented
         out = {}
@@ -265,6 +239,7 @@ class LaurentBiPoly:
                     del out[k]
         return LaurentBiPoly(out)
 
+    # an int factor raises, rather than repeating the tuple
     __rmul__ = __mul__
 
     def s_exponents_all_even(self) -> bool:
@@ -290,14 +265,11 @@ class LaurentBiPoly:
             out[ue] += c if se % 4 == 0 else -c
         return _trim(out)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for (se, ue), c in self.sorted_terms():
+        for (se, ue), c in sorted(self.terms.items()):
             piece = str(c)
             if se:
                 piece += f"*s^{se}"
@@ -311,9 +283,9 @@ class LaurentBiPoly:
 
 
 LB_ZERO = LaurentBiPoly()
-LB_ONE = LaurentBiPoly.const(1)
-LB_S = LaurentBiPoly.monomial(1, 1)
-LB_S_INV = LaurentBiPoly.monomial(1, -1)
+LB_ONE = LaurentBiPoly({(0, 0): 1})
+LB_S = LaurentBiPoly({(1, 0): 1})
+LB_S_INV = LaurentBiPoly({(-1, 0): 1})
 LB_U = LaurentBiPoly({(0, 1): 1})
 
 
@@ -324,7 +296,7 @@ def laurent_pseudo_rem_u(p: LaurentBiPoly, phi: LaurentBiPoly) -> LaurentBiPoly:
     of phi, so over the integral domain Z[s^{+-1}] the result is zero exactly
     when phi divides p in (fraction field)[u].
     """
-    if phi.is_zero():
+    if not phi:
         raise ZeroDivisionError("pseudo-remainder by zero")
     d = phi.u_degree()
     lc = phi.u_coefficient(d)
@@ -336,62 +308,3 @@ def laurent_pseudo_rem_u(p: LaurentBiPoly, phi: LaurentBiPoly) -> LaurentBiPoly:
         r = lc * r - rlc * shift * phi
     return r
 
-
-class Mat2:
-    """2x2 matrix over any commutative ring: LaurentBiPoly, int or Fraction
-    entries."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Mat2 is immutable")
-
-    @classmethod
-    def identity(cls, one, zero) -> "Mat2":
-        return cls(one, zero, zero, one)
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __mul__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __sub__(self, other):
-        return Mat2(
-            self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
-        )
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def trace(self):
-        return self.a + self.d
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __repr__(self):
-        return f"Mat2([[{self.a}, {self.b}], [{self.c}, {self.d}]])"

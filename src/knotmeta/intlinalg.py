@@ -5,6 +5,7 @@ unimodular transforms, and the torsion solver for W*theta = 0 over Q/Z.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 
@@ -12,40 +13,34 @@ class IntLinAlgError(ValueError):
     pass
 
 
-class IntMat:
-    """Immutable integer matrix, row-major."""
+class IntMat(NamedTuple("IntMat", [("entries", tuple)])):
+    """Immutable integer matrix, row-major: a tuple of equal-length row
+    tuples. Entries must be integers (int or any type with __index__);
+    floats, strs and Fractions are refused, never truncated."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ()
 
-    def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+    def __new__(cls, entries):
+        rows = tuple(tuple(map(operator.index, row)) for row in entries)
         if not rows or not rows[0]:
             raise IntLinAlgError("matrix must be nonempty")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise IntLinAlgError("ragged rows in matrix")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", rows)
+        return tuple.__new__(cls, (rows,))
 
-    def __setattr__(self, *args):
-        raise AttributeError("IntMat is immutable")
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0])
 
     @classmethod
     def identity(cls, n: int) -> "IntMat":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMat):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def transpose(self) -> "IntMat":
         return IntMat(list(zip(*self.entries)))
@@ -77,6 +72,12 @@ class IntMat:
         return IntMat(
             [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
         )
+
+    # products are @; an int factor raises, rather than repeating the tuple
+    def __mul__(self, other):
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -123,7 +124,7 @@ class SnfResult(NamedTuple):
 
     @property
     def diag(self) -> tuple:
-        return tuple(self.D[i, i] for i in range(self.D.rows))
+        return tuple(row[i] for i, row in enumerate(self.D.entries))
 
 
 def _xgcd(a: int, b: int) -> tuple:

@@ -13,7 +13,7 @@ import math
 from operator import mul
 from typing import NamedTuple
 
-from .exactalg import Mat2, ratio_str
+from .exactalg import ratio_str
 from .intlinalg import torsion_solutions
 from .knotdata import KnotDataError, SeifertKnot, determinant_of_knot
 
@@ -115,10 +115,11 @@ def enumerate_metabelian(K: SeifertKnot) -> list:
     return out
 
 
-# The meridian image mu -> [[0,1],[-1,0]] does not depend on the class (b is
-# fixed to 1, all choices of b being conjugate), so its trace is checked
-# once, not rebuilt for every class.
-_MERIDIAN_TRACE_ZERO = Mat2(0, 1, -1, 0).trace() == 0
+# The meridian image mu -> [[0,1],[-1,0]], held as (a, b, c, d), does not
+# depend on the class (b is fixed to 1, all choices of b being conjugate),
+# so its trace is checked once, not rebuilt for every class.
+_MERIDIAN = (0, 1, -1, 0)
+_MERIDIAN_TRACE_ZERO = _MERIDIAN[0] + _MERIDIAN[3] == 0
 
 
 class ClassReport(NamedTuple):

@@ -17,7 +17,9 @@ builds one relator matrix per p and none for the longitude. The power form
 certificate per phi; every per-knot check still runs for each knot. All
 t = -1 computation runs on the integer coefficient tuples of exactalg's
 kernel. The Laurent route (word_holonomy + eval_s_to_i) is kept as the
-independent cross-check.
+independent cross-check. On both routes a 2x2 matrix is the plain tuple
+(a, b, c, d): _mat_mul multiplies LaurentBiPoly entries, and the t = -1
+products are folded entry by entry on integer tuples.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .exactalg import (
     LB_U,
     LB_ZERO,
     LaurentBiPoly,
-    Mat2,
     _content_normalize,
     _gcd_degree_mod,
     _iadd,
@@ -60,29 +61,37 @@ class RileyError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Laurent-ring holonomy (the general-t route)
 
-_X1 = Mat2(LB_S, LB_S_INV, LB_ZERO, LB_S_INV)
-_X2 = Mat2(LB_S, LB_ZERO, -(LB_S * LB_U), LB_S_INV)
+def _mat_mul(X: tuple, Y: tuple) -> tuple:
+    """The product of 2x2 matrices (a, b, c, d) over any ring."""
+    a, b, c, d = X
+    e, f, g, h = Y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+_X1 = (LB_S, LB_S_INV, LB_ZERO, LB_S_INV)
+_X2 = (LB_S, LB_ZERO, -(LB_S * LB_U), LB_S_INV)
 # adjugate inverses (determinants are 1)
-_X1_INV = Mat2(LB_S_INV, -LB_S_INV, LB_ZERO, LB_S)
-_X2_INV = Mat2(LB_S_INV, LB_ZERO, LB_S * LB_U, LB_S)
+_X1_INV = (LB_S_INV, -LB_S_INV, LB_ZERO, LB_S)
+_X2_INV = (LB_S_INV, LB_ZERO, LB_S * LB_U, LB_S)
 
 
 _IMAGES = {(1, 1): _X1, (2, 1): _X2, (1, -1): _X1_INV, (2, -1): _X2_INV}
 
 
-def word_holonomy(w: GroupWord) -> Mat2:
-    """Exact product of generator images over Z[s^{+-1}][u]."""
-    acc = Mat2.identity(LB_ONE, LB_ZERO)
+def word_holonomy(w: GroupWord) -> tuple:
+    """Exact product of generator images over Z[s^{+-1}][u], as the matrix
+    (a, b, c, d)."""
+    acc = (LB_ONE, LB_ZERO, LB_ZERO, LB_ONE)
     for letter in w.letters:
-        acc = acc * _IMAGES[letter]
+        acc = _mat_mul(acc, _IMAGES[letter])
     return acc
 
 
 def riley_polynomial(K: TwoBridge) -> LaurentBiPoly:
     """phi(t,u) = w11 + (1 - t) w12 from the relator holonomy. Lives in
     Z[t^{+-1}][u]: only even s-exponents may appear."""
-    rho_w = word_holonomy(relator_word(K))
-    phi = rho_w.a + (LB_ONE - LB_S * LB_S) * rho_w.b
+    w11, w12, _w21, _w22 = word_holonomy(relator_word(K))
+    phi = w11 + (LB_ONE - LB_S * LB_S) * w12
     if not phi.s_exponents_all_even():
         raise RileyError(
             f"{K.name}: Riley polynomial has odd s-exponents; invariant breach"
@@ -278,7 +287,7 @@ class RelatorReport(NamedTuple):
             "knot": self.knot,
             "ok": self.ok,
             "residues": [
-                poly_str(r) if isinstance(r, tuple) else str(r)
+                str(r) if isinstance(r, LaurentBiPoly) else poly_str(r)
                 for r in self.residues
             ],
         }
@@ -363,13 +372,7 @@ class CrossCheckReport(NamedTuple):
         )
 
     def to_dict(self) -> dict:
-        return {
-            "knot": self.knot,
-            "riley_root_count": self.riley_root_count,
-            "half_p_minus_one": self.half_p_minus_one,
-            "metabelian_count": self.metabelian_count,
-            "ok": self.ok,
-        }
+        return {**self._asdict(), "ok": self.ok}
 
 
 def cross_check_counts(
@@ -479,6 +482,6 @@ def verify_relator_general_t(K: TwoBridge) -> RelatorReport:
     pseudo-remainders in u. Exact but costly; off the default path."""
     phi = riley_polynomial(K)
     rho_w = word_holonomy(relator_word(K))
-    diff = rho_w * _X1 - _X2 * rho_w
-    residues = tuple(laurent_pseudo_rem_u(e, phi) for e in diff.entries())
+    diff = zip(_mat_mul(rho_w, _X1), _mat_mul(_X2, rho_w))
+    residues = tuple(laurent_pseudo_rem_u(l - r, phi) for l, r in diff)
     return RelatorReport(knot=K.name, ok=not any(residues), residues=residues)

@@ -12,7 +12,6 @@ from knotmeta.exactalg import (
     LB_S,
     LB_S_INV,
     LB_U,
-    Mat2,
     _iadd,
     _irem_monic,
     _ishift,
@@ -23,6 +22,7 @@ from knotmeta.exactalg import (
     poly_str,
     ratio_str,
 )
+from knotmeta.riley import _mat_mul
 
 
 def mul(a, b):
@@ -132,21 +132,25 @@ class TestLaurentBiPoly:
             LaurentBiPoly({(0, -1): 1})
 
 
-class TestMat2:
+class TestMatrixTuples:
+    """A 2x2 matrix is the tuple (a, b, c, d); _mat_mul multiplies over any
+    commutative ring."""
+
     def test_x1_x2_product_at_minus_one(self):
         # at t = -1 each letter maps to i*N_g with N_g^2 = 1, so x1 x2 =
         # -N1 N2; the trace of N1 N2 is 2 + u
         u = Fraction(3, 2)
-        n1 = Mat2(1, -1, 0, -1)
-        n2 = Mat2(1, 0, -u, -1)
-        assert n1 * n1 == n2 * n2 == Mat2.identity(1, 0)
-        assert (n1 * n2).trace() == 2 + u
-        assert (n1 * n2).det() == 1
+        n1 = (1, -1, 0, -1)
+        n2 = (1, 0, -u, -1)
+        assert _mat_mul(n1, n1) == _mat_mul(n2, n2) == (1, 0, 0, 1)
+        a, b, c, d = _mat_mul(n1, n2)
+        assert a + d == 2 + u
+        assert a * d - b * c == 1
 
     def test_antidiagonal_square_is_minus_identity(self):
         b = Fraction(3, 2)
-        M = Mat2(0, b, -1 / b, 0)
-        assert M * M == Mat2(-1, 0, 0, -1)
+        M = (0, b, -1 / b, 0)
+        assert _mat_mul(M, M) == (-1, 0, 0, -1)
 
 
 def test_gcd_matches_sympy():

@@ -1,5 +1,6 @@
 """What `import knotmeta.cli` loads, and the record semantics the package
-keeps with NamedTuple records in place of dataclasses.
+keeps with NamedTuple records in place of dataclasses: immutable, copyable
+and picklable, validating on construction.
 
 Every CLI call pays for the import before it computes, so the CLI path
 loads no `dataclasses`, `fractions`, `decimal` or `importlib.resources`:
@@ -9,6 +10,8 @@ under `python -S`, so no `.pth` file in site-packages preloads a module;
 click alone loads none of the four.
 """
 
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +19,8 @@ from pathlib import Path
 import click
 import pytest
 
-from knotmeta.apoly import analyze
+from knotmeta.apoly import APoly, analyze
+from knotmeta.exactalg import LB_S, LB_U
 from knotmeta.intlinalg import IntMat, smith_normal_form
 from knotmeta.knotdata import (
     GroupWord,
@@ -74,7 +78,7 @@ def test_library_calls_load_them_on_demand(call, module):
 
 
 def all_records() -> list:
-    """One instance of each of the package's 16 record types."""
+    """One instance of each of the package's 18 record types."""
     K = TwoBridge("S(5,3)", 5, 3)
     sec = section_at_minus_one(K)
     c = enumerate_metabelian(TREFOIL)[0]
@@ -85,16 +89,29 @@ def all_records() -> list:
         smith_normal_form(TREFOIL.W), sec, verify_relator_mod_phi(K, sec),
         verify_longitude_mod_phi(K, sec), cross_check_counts(K, sec),
         A, report, report.profile, report.bound, report.probe, report.criteria[0],
+        TREFOIL.V, LB_S * LB_S - LB_U,
     ]
 
 
 def test_every_record_is_immutable():
     records = all_records()
-    assert len({type(r) for r in records}) == 16
+    assert len({type(r) for r in records}) == 18
     for r in records:
         for name in (*r._fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(r, name, None)
+
+
+def test_every_record_copies_and_pickles():
+    for r in all_records():
+        for twin in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(twin) is type(r)
+            assert twin == r
+    # the value records are tuples, but an int factor must not repeat them
+    M, p = TREFOIL.V, LB_S
+    for product in (lambda: M * 2, lambda: 2 * M, lambda: p * 2, lambda: 2 * p):
+        with pytest.raises(TypeError):
+            product()
 
 
 def test_readme_repr():
@@ -141,6 +158,22 @@ def test_readme_repr():
             lambda: MetabelianClass((1, 2), 3)._replace(k=(3, 0)),
             ValueError,
             "metabelian class needs numerators in [0, D), not all zero",
+        ),
+        # inexact input is refused, never truncated
+        (
+            lambda: IntMat([[1.9, 0.5], [0.2, 2.7]]),
+            TypeError,
+            "'float' object cannot be interpreted as an integer",
+        ),
+        (
+            lambda: APoly.from_terms("x", {(0.0, 1.5): 2.7, (2, 0): "3"}),
+            TypeError,
+            "'float' object cannot be interpreted as an integer",
+        ),
+        (
+            lambda: APoly.from_terms("x", {(0, 1): 1}, pq=(3.9, 1.2)),
+            TypeError,
+            "'float' object cannot be interpreted as an integer",
         ),
     ],
 )
