@@ -15,6 +15,7 @@ import operator
 from typing import NamedTuple
 
 from .exactalg import (
+    _coprime_certified,
     _iadd,
     _ishift,
     _isub,
@@ -60,9 +61,18 @@ class APoly(NamedTuple):
 
     @classmethod
     def from_terms(cls, name, terms, pq=None, small_flag=None) -> "APoly":
-        clean = {}
-        for (me, le), c in dict(terms).items():
+        """Build from a dict {(m_exp, l_exp): coeff} or an iterable of
+        ((m_exp, l_exp), coeff) pairs, each exponent pair at most once."""
+        if small_flag is not None and type(small_flag) is not bool:
+            raise APolyError(
+                f"{name}: small flag must be True, False or None, got {small_flag!r}"
+            )
+        clean, seen = {}, set()
+        for (me, le), c in terms.items() if isinstance(terms, dict) else terms:
             me, le, c = map(operator.index, (me, le, c))
+            if (me, le) in seen:
+                raise APolyError(f"{name}: duplicate exponent pair {(me, le)}")
+            seen.add((me, le))
             if c == 0:
                 continue
             if me < 0 or le < 0:
@@ -98,12 +108,13 @@ class APoly(NamedTuple):
         its "name" field."""
         if name is None:
             name = obj["name"]
-        terms = {}
-        for t in obj["terms"]:
-            key = (json_typed(t["m"], "m-exponent"), json_typed(t["l"], "l-exponent"))
-            if key in terms:
-                raise APolyError(f"{name}: duplicate exponent pair {key}")
-            terms[key] = json_typed(t["c"], "coefficient")
+        terms = [
+            (
+                (json_typed(t["m"], "m-exponent"), json_typed(t["l"], "l-exponent")),
+                json_typed(t["c"], "coefficient"),
+            )
+            for t in obj["terms"]
+        ]
         pq = None
         if "p" in obj and "q" in obj:
             pq = (json_typed(obj["p"], "p"), json_typed(obj["q"], "q"))
@@ -380,14 +391,19 @@ def metabelian_multiplicity_probe(A: APoly, det: int) -> ProbeReport:
 
 def squarefree_in_l_warning(A: APoly) -> str | None:
     """Heuristic normal-form check: gcd test in l at m = 3. A repeated
-    factor suggests the fixture is not in A-polynomial normal form."""
+    factor suggests the fixture is not in A-polynomial normal form. The
+    modular certificate settles the usual coprime case; otherwise the
+    exact gcd over Q decides."""
     by_l = {}
     for (me, le), c in A.terms:
         by_l[le] = by_l.get(le, 0) + c * (3 ** me)
     p = _poly_in_l(list(by_l.items()))
     if len(p) < 2:
         return None
-    g = poly_gcd(p, poly_derivative(p))
+    dp = poly_derivative(p)
+    if _coprime_certified(p, dp):
+        return None
+    g = poly_gcd(p, dp)
     if len(g) > 1:
         return (
             f"{A.name}: A(3, l) has a repeated factor (gcd degree {len(g) - 1}); "

@@ -122,6 +122,22 @@ def _sign_at(f: tuple, n: int, m: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _value_and_slope(f: tuple, n: int, m: int) -> tuple:
+    """(m^deg(f) * f(n/m), m^(deg(f) - 1) * f'(n/m)) for m > 0, by one
+    homogeneous Horner pass carrying its derivative in n."""
+    acc, dacc = f[-1], 0
+    m_pow = 1
+    for c in f[-2::-1]:
+        m_pow *= m
+        dacc = dacc * n + acc
+        acc = acc * n + c * m_pow
+    return acc, dacc
+
+
+# gcd certificates reduce mod this word-size prime, 2^31 - 1.
+_CERT_PRIME = 2_147_483_647
+
+
 def _gcd_degree_mod(a: tuple, b: tuple, P: int) -> int:
     """Degree of gcd(a, b) over Z/P by the Euclidean algorithm (-1 for
     gcd(0, 0))."""
@@ -139,6 +155,17 @@ def _gcd_degree_mod(a: tuple, b: tuple, P: int) -> int:
                     rem[s + j] = (rem[s + j] - c * b[j]) % P
         a, b = b, _trim(rem)
     return len(a) - 1
+
+
+def _coprime_certified(a: tuple, b: tuple) -> bool:
+    """True only if gcd(a, b) over Q is 1: _CERT_PRIME does not divide
+    lc(a) and gcd(a, b) mod _CERT_PRIME is a constant.
+
+    A common factor of a and b over Q is, up to a rational multiple, a
+    primitive integer g dividing both over Z (Gauss's lemma), so lc(g)
+    divides lc(a) and g keeps its degree mod the prime. False is only a
+    hint; the exact gcd then decides."""
+    return a[-1] % _CERT_PRIME != 0 and _gcd_degree_mod(a, b, _CERT_PRIME) == 0
 
 
 def poly_gcd(a: tuple, b: tuple) -> tuple:

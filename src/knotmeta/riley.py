@@ -35,7 +35,7 @@ from .exactalg import (
     LB_ZERO,
     LaurentBiPoly,
     _content_normalize,
-    _gcd_degree_mod,
+    _coprime_certified,
     _iadd,
     _ineg,
     _iprem,
@@ -45,6 +45,7 @@ from .exactalg import (
     _isub,
     _primitive,
     _sign_at,
+    _value_and_slope,
     laurent_pseudo_rem_u,
     poly_derivative,
     poly_gcd,
@@ -102,24 +103,13 @@ def riley_polynomial(K: TwoBridge) -> LaurentBiPoly:
 # ---------------------------------------------------------------------------
 # The squarefree certificate
 
-# gcd(phi, phi') is reduced mod this word-size prime, 2^31 - 1.
-_CERT_PRIME = 2_147_483_647
-
-
 @lru_cache(maxsize=None)
 def _is_squarefree(phi: tuple) -> bool:
     """Squarefreeness over Q of a monic integer polynomial, memoized per
-    phi.
-
-    A repeated factor of a monic phi is, by Gauss's lemma, a monic integer
-    polynomial and survives reduction mod any prime, so a trivial
-    gcd(phi, phi') mod _CERT_PRIME proves phi squarefree. Any other result
-    is only a hint; the exact gcd over Q then decides."""
+    phi: the modular certificate, else the exact gcd over Q."""
     assert phi and phi[-1] == 1
     dphi = poly_derivative(phi)
-    if _gcd_degree_mod(phi, dphi, _CERT_PRIME) == 0:
-        return True
-    return len(poly_gcd(phi, dphi)) == 1
+    return _coprime_certified(phi, dphi) or len(poly_gcd(phi, dphi)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +400,106 @@ def _sign_changes(chain, n: int, m: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _halving_cell(sqf: tuple, lo: int, hi: int, m: int, lo_sign: int, bits: int):
+    """Halve (lo, hi]/m `bits` times by the sign of sqf, a zero at the
+    midpoint going to hi; the final (lo, hi, m)."""
+    for _ in range(bits):
+        lo, hi, m = 2 * lo, 2 * hi, 2 * m
+        mid = (lo + hi) >> 1
+        s = _sign_at(sqf, mid, m)
+        if s == 0 or s != lo_sign:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, m
+
+
+def _newton_cell(sqf: tuple, lo: int, hi: int, m: int, lo_sign: int, bits: int):
+    """A guess at the index j of the grid cell that _halving_cell ends in,
+    or None.
+
+    Newton steps on sqf from the midpoint of (lo, hi]/m, at a precision
+    that follows the correct bits: a point is a numerator over 2^e, with
+    2^-e about 2^-k times the bracket's width. Each exact value moves an
+    end of the bracket (a, b) to the iterate by its sign, and a step that
+    would leave the bracket is replaced by its midpoint. Only a guess: the
+    caller certifies the cell."""
+    w = hi - lo
+    e0 = m.bit_length() - w.bit_length()  # 2^-e0 is about w/m, within 2x
+    k = max(4, -e0)
+    e = e0 + k
+    a, b = (lo << e) // m, -((-hi << e) // m)
+    x = (a + b) >> 1
+    target = bits + 2
+    for _ in range(4 * target):
+        F, G = _value_and_slope(sqf, x, 1 << e)
+        if F * lo_sign > 0:
+            a = x
+        else:
+            b = x
+        step = F // G if G else None
+        if step is None or abs(step) > 1 and not a < x - step < b:
+            x = (a + b) >> 1
+            continue
+        x -= step
+        if k >= target and abs(step) <= 1:
+            return ((((x * m) << bits) >> e) - (lo << bits)) // w
+        # a step of s units leaves about 2 (k - bitlen(s)) correct bits
+        good = min(2 * (k - abs(step).bit_length()), target)
+        if good > k:
+            shift, k = good - k, good
+            a, b, x, e = a << shift, b << shift, x << shift, e + shift
+    return None
+
+
+def _grid_cell(sqf: tuple, lo: int, hi: int, m: int, bits: int):
+    """The cell (L_j, L_j + w] that holds the one root of sqf in
+    (lo, hi]/m, on the grid L_i = (lo << bits) + i*w over M = m << bits
+    with w = hi - lo, as (L_j, L_j + w, M): the triple _halving_cell
+    returns.
+
+    sqf changes sign at that root and nowhere else in (lo, hi], so it has
+    lo's sign at L_i exactly when the root lies beyond L_i, and two exact
+    signs certify a cell. The Newton guess j is tried, then the neighbour
+    that the first sign points to; if neither holds, halving decides."""
+    # lo is +-B/D or a nudged midpoint, and never a root, so lo_sign != 0
+    lo_sign = _sign_at(sqf, lo, m)
+    w, M, base, top = hi - lo, m << bits, lo << bits, 1 << bits
+
+    def beyond(i):
+        return _sign_at(sqf, base + i * w, M) == lo_sign
+
+    j = _newton_cell(sqf, lo, hi, m, lo_sign, bits)
+    if j is not None:
+        # the root lies beyond L_0 = lo and not beyond L_top = hi, so the
+        # neighbours stay within the grid
+        j = min(max(j, 0), top - 1)
+        if not beyond(j):
+            j -= 1
+            ok = beyond(j)
+        elif beyond(j + 1):
+            j += 1
+            ok = not beyond(j + 1)
+        else:
+            ok = True
+        if ok:
+            return base + j * w, base + (j + 1) * w, M
+    return _halving_cell(sqf, lo, hi, m, lo_sign, bits)
+
+
 def approx_real_roots(phi: tuple, bits: int = 50):
     """Approximate real roots of an integer polynomial, for display only.
     Returns (floats, complex_pair_count).
 
-    phi is divided by its positive content. With B/D the root bound 1 + max|c|/|lead|, every point is an integer
-    numerator over D * 2^k, and every sign is an integer Horner evaluation.
-    Sturm counts isolate the distinct roots (bisecting [-B/D, B/D] and
-    nudging midpoints off exact roots); each isolating interval (lo, hi] is
-    then halved `bits` times by the sign of phi's squarefree part alone, a
-    zero at the midpoint going to hi. Only the final midpoint becomes a
-    float."""
+    phi is divided by its positive content. With B/D the root bound
+    1 + max|c|/|lead|, every point is an integer numerator over D * 2^k,
+    and every sign is an integer Horner evaluation. Sturm counts isolate
+    the distinct roots (bisecting [-B/D, B/D] and nudging midpoints off
+    exact roots). Each isolating interval (lo, hi] is cut into a grid of
+    2^bits cells, and the cell holding the root is found by _grid_cell:
+    a Newton guess certified by two exact signs of phi's squarefree part,
+    or else `bits` halvings, which give the same cell. Only the cell's
+    midpoint becomes a float."""
     if len(phi) < 2:
         return [], 0
     f = _primitive(phi)
@@ -451,19 +530,9 @@ def approx_real_roots(phi: tuple, bits: int = 50):
             continue
         if n == 1:
             k = max(a[1], b[1])
-            lo, hi = a[0] << (k - a[1]), b[0] << (k - b[1])
-            m = D << k
-            # a is +-B/D or a nudged midpoint, and lo only moves to
-            # midpoints that are not roots, so lo_sign is never 0
-            lo_sign = _sign_at(sqf, lo, m)
-            for _ in range(bits):
-                lo, hi, m = 2 * lo, 2 * hi, 2 * m
-                mid = (lo + hi) >> 1
-                s = _sign_at(sqf, mid, m)
-                if s == 0 or s != lo_sign:
-                    hi = mid
-                else:
-                    lo = mid
+            lo, hi, m = _grid_cell(
+                sqf, a[0] << (k - a[1]), b[0] << (k - b[1]), D << k, bits
+            )
             roots.append((lo + hi) / (2 * m))
             continue
         mid = midpoint(a, b)

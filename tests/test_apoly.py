@@ -1,8 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 import sympy
 
+from knotmeta import apoly
 from knotmeta.apoly import (
     APoly,
     APolyError,
@@ -15,7 +17,10 @@ from knotmeta.apoly import (
     squarefree_in_l_warning,
     vertical_edge_check,
 )
-from knotmeta.knotdata import builtin_apolys
+from knotmeta.exactalg import _CERT_PRIME, _trim, poly_derivative, poly_gcd
+from knotmeta.knotdata import builtin_apolys, load_apolys
+
+ANALYZE_DATA = Path(__file__).parent / "data" / "apoly_analyze"
 
 
 def ap(name, terms, **kw):
@@ -56,6 +61,30 @@ class TestIngest:
         }
         with pytest.raises(APolyError, match="duplicate"):
             APoly.from_record(rec)
+
+    def test_rejects_duplicate_pairs_in_pair_list(self):
+        terms = [((0, 0), 1), ((0, 0), 2), ((0, 1), 1)]
+        with pytest.raises(APolyError, match=r"dup: duplicate exponent pair \(0, 0\)"):
+            ap("dup", terms)
+
+    def test_duplicate_zero_term_is_still_a_duplicate(self):
+        with pytest.raises(APolyError, match="duplicate"):
+            ap("dup0", [((0, 1), 0), ((0, 1), 1), ((0, 0), 2)])
+
+    def test_pair_list_equals_dict(self):
+        terms = {(0, 2): 1, (2, 1): -3, (0, 0): 5}
+        assert ap("x", list(terms.items())) == ap("x", terms)
+
+    @pytest.mark.parametrize("flag", ["yes", 0, 1, "", [], 1.0])
+    def test_rejects_non_bool_small_flag(self, flag):
+        with pytest.raises(APolyError, match="small flag must be True, False or None"):
+            ap("f", {(0, 1): 1, (0, 0): 2}, small_flag=flag)
+
+    @pytest.mark.parametrize("flag", [True, False, None])
+    def test_bool_small_flag_round_trips(self, flag):
+        A = ap("f", {(0, 1): 1, (0, 0): 2}, small_flag=flag)
+        assert A.small_flag is flag
+        assert APoly.from_record(A.to_record()) == A
 
     def test_sign_normalization(self):
         a = ap("s", {(0, 0): -1, (0, 2): -1})
@@ -261,6 +290,107 @@ class TestWarning:
         A = ap("sq", {(0, 2): 1, (0, 1): -4, (0, 0): 4})
         msg = squarefree_in_l_warning(A)
         assert msg is not None and "repeated factor" in msg
+
+
+def _exact_warning(A):
+    """The normal-form warning from the exact gcd over Q alone."""
+    by_l = {}
+    for (me, le), c in A.terms:
+        by_l[le] = by_l.get(le, 0) + c * 3**me
+    p = _trim([by_l.get(e, 0) for e in range(max(by_l) + 1)])
+    if len(p) < 2:
+        return None
+    g = poly_gcd(p, poly_derivative(p))
+    if len(g) == 1:
+        return None
+    return (
+        f"{A.name}: A(3, l) has a repeated factor (gcd degree {len(g) - 1}); "
+        "fixture may not be in normal form"
+    )
+
+
+def _random_terms(rng):
+    return {
+        (2 * rng.randrange(5), rng.randrange(6)): rng.randint(-9, 9)
+        for _ in range(rng.randint(2, 7))
+    }
+
+
+def _square(terms):
+    out = {}
+    for (m1, l1), c1 in terms.items():
+        for (m2, l2), c2 in terms.items():
+            out[m1 + m2, l1 + l2] = out.get((m1 + m2, l1 + l2), 0) + c1 * c2
+    return out
+
+
+def _seeded_records(seed=11, count=300):
+    """Random records and their squares F^2, the ones ingest refuses
+    (zero, divisible by l-1) left out."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        terms = _random_terms(rng)
+        for name, t in ((f"r{i}", terms), (f"r{i}^2", _square(terms))):
+            try:
+                out.append(ap(name, t))
+            except APolyError:
+                pass
+    return out
+
+
+class TestCertifiedWarning:
+    """The warning takes the modular certificate when it holds and the
+    exact gcd otherwise; either way it says what the exact gcd says."""
+
+    @pytest.fixture
+    def gcd_calls(self, monkeypatch):
+        calls = []
+        exact = apoly.poly_gcd
+
+        def counting(a, b):
+            calls.append(a)
+            return exact(a, b)
+
+        monkeypatch.setattr(apoly, "poly_gcd", counting)
+        return calls
+
+    def test_fixtures_and_recorded_inputs(self):
+        records = builtin_apolys() + [
+            A
+            for f in ("residuals.json", "gaussian.json")
+            for A in load_apolys(ANALYZE_DATA / f)
+        ]
+        for A in records:
+            assert squarefree_in_l_warning(A) == _exact_warning(A), A.name
+
+    def test_seeded_records_and_squares(self, gcd_calls):
+        records = _seeded_records()
+        squares = [A for A in records if A.name.endswith("^2")]
+        assert len(records) > 400 and len(squares) > 200
+        warned = 0
+        for A in records:
+            want = _exact_warning(A)
+            assert squarefree_in_l_warning(A) == want, A.name
+            warned += want is not None
+        # the squares are flagged, and only flagged records reach the exact
+        # gcd: the certificate settles every coprime one
+        assert warned >= len(squares)
+        assert len(gcd_calls) == warned
+
+    def test_leading_coefficient_divisible_by_the_prime(self, gcd_calls):
+        # A(3, l) = P l^2 + l + 1 is squarefree, but P | lc: exact path
+        A = ap("lcP", {(0, 2): _CERT_PRIME, (0, 1): 1, (0, 0): 1})
+        assert squarefree_in_l_warning(A) is None
+        assert len(gcd_calls) == 1
+        # (P l + 1)^2: P^2 | lc, and the exact gcd finds the square
+        B = ap("lcP^2", {(0, 2): _CERT_PRIME**2, (0, 1): 2 * _CERT_PRIME, (0, 0): 1})
+        assert squarefree_in_l_warning(B) == _exact_warning(B) is not None
+        assert "gcd degree 1" in squarefree_in_l_warning(B)
+
+    def test_certificate_alone_on_a_coprime_record(self, gcd_calls):
+        assert squarefree_in_l_warning(fixture("8_20")) is None
+        assert gcd_calls == []
 
 
 class TestAnalyze:

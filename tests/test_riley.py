@@ -11,6 +11,7 @@ from knotmeta.exactalg import (
     LB_S_INV,
     LB_U,
     LB_ZERO,
+    _CERT_PRIME,
     _content_normalize,
     _gcd_degree_mod,
     _iadd,
@@ -29,7 +30,6 @@ from knotmeta.knotdata import (
 )
 from knotmeta.riley import (
     RelatorReport,
-    _CERT_PRIME,
     _holonomy_at_i,
     _is_squarefree,
     _mat_mul,
