@@ -32,6 +32,13 @@ class APolyError(ValueError):
     pass
 
 
+def _integer(name: str, x) -> int:
+    """x as an int; a boolean is refused, never read as 0 or 1."""
+    if type(x) is bool:
+        raise APolyError(f"{name}: boolean {x} where an integer is expected")
+    return operator.index(x)
+
+
 def _poly_in_l(pairs) -> tuple:
     """Integer polynomial in l from nonempty (l-exponent, coefficient)
     pairs."""
@@ -39,11 +46,6 @@ def _poly_in_l(pairs) -> tuple:
     for e, c in pairs:
         out[e] += c
     return _trim(out)
-
-
-def _lstr(p: tuple) -> str:
-    """Render a polynomial in the variable l (poly_str prints u)."""
-    return poly_str(p).replace("u", "l")
 
 
 class APoly(NamedTuple):
@@ -69,7 +71,7 @@ class APoly(NamedTuple):
             )
         clean, seen = {}, set()
         for (me, le), c in terms.items() if isinstance(terms, dict) else terms:
-            me, le, c = map(operator.index, (me, le, c))
+            me, le, c = _integer(name, me), _integer(name, le), _integer(name, c)
             if (me, le) in seen:
                 raise APolyError(f"{name}: duplicate exponent pair {(me, le)}")
             seen.add((me, le))
@@ -96,7 +98,7 @@ class APoly(NamedTuple):
                 f"{name}: divisible by l-1; the abelian factor must be removed"
             )
         if pq is not None:
-            pq = tuple(map(operator.index, pq))
+            pq = tuple(_integer(name, x) for x in pq)
             TwoBridge(name, *pq)  # KnotDataError unless S(p, q) is a knot
         return cls(name=name, terms=tuple(items), pq=pq, small_flag=small_flag)
 
@@ -276,7 +278,7 @@ def proposition_criteria(A: APoly) -> list:
         else:
             residual_desc = (
                 f"residual factor of degree {len(prof.residual) - 1}: "
-                f"{_lstr(prof.residual)}"
+                f"{poly_str(prof.residual, 'l')}"
             )
     has_other_factor = prof.c > 0 or len(prof.residual) > 1
     if has_other_factor:
@@ -427,12 +429,12 @@ class AnalyzerReport(NamedTuple):
         return {
             "name": self.name,
             "deg_l": self.deg_l,
-            "eval_at_i": _lstr(self.eval_at_i),
+            "eval_at_i": poly_str(self.eval_at_i, "l"),
             "factor_profile": {
                 "l_power": self.profile.a,
                 "l_minus_1_power": self.profile.b,
                 "l_plus_1_power": self.profile.c,
-                "residual": _lstr(self.profile.residual),
+                "residual": poly_str(self.profile.residual, "l"),
                 "identically_zero": self.profile.is_zero,
             },
             "has_vertical_edge": self.has_vertical_edge,

@@ -235,7 +235,7 @@ def tb_riley_cmd(p, q, roots, fmt):
 @click.option(
     "--general-t",
     is_flag=True,
-    help="also check the relator identity over Z[t^(+-1)][u] (costly)",
+    help="also check the relator identity mod phi(t,u) over Z[t][u]",
 )
 @format_option()
 def tb_verify_cmd(p, q, general_t, fmt):

@@ -1,27 +1,26 @@
-"""Exact arithmetic kernel: dense univariate polynomials over Z and the
-sparse bivariate Laurent ring Z[s^{+-1}][u].
+"""Exact arithmetic kernel: dense polynomials over Z, and over Z[t] in u.
 
 A polynomial over Z is a tuple of int coefficients, constant term first,
 with no trailing zeros; () is the zero polynomial. Every univariate
 computation in the package (phi(-1,u), its residues and roots, and
 A(sqrt(-1), l)) runs on these tuples.
 
-An element of Z[s^{+-1}][u] is a LaurentBiPoly record holding its dict of
-terms; a 2x2 matrix over either ring is the plain tuple (a, b, c, d).
-Everything here is immutable and pure; no floating point anywhere.
+An element of Z[t][u] nests them once: a tuple, indexed by u-degree, of
+Z[t] tuples, with no trailing (). Everything here is immutable and pure;
+no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
 # Integer polynomial kernel
 
 def _trim(c: list) -> tuple:
-    while c and c[-1] == 0:
+    """Drop trailing zeros: 0 over Z, () over Z[t][u]."""
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
@@ -181,8 +180,9 @@ def poly_gcd(a: tuple, b: tuple) -> tuple:
     return _content_normalize(a)
 
 
-def poly_str(a: tuple) -> str:
-    """Render as "(c_n)*u^n + ... + (c_1)*u + (c_0)", zero terms omitted."""
+def poly_str(a: tuple, var: str = "u") -> str:
+    """Render as "(c_n)*u^n + ... + (c_1)*u + (c_0)", zero terms omitted;
+    a coefficient in Z[t] renders the same way in t."""
     if not a:
         return "0"
     parts = []
@@ -190,12 +190,14 @@ def poly_str(a: tuple) -> str:
         c = a[k]
         if not c:
             continue
+        if isinstance(c, tuple):
+            c = poly_str(c, "t")
         if k == 0:
             parts.append(f"({c})")
         elif k == 1:
-            parts.append(f"({c})*u")
+            parts.append(f"({c})*{var}")
         else:
-            parts.append(f"({c})*u^{k}")
+            parts.append(f"({c})*{var}^{k}")
     return " + ".join(parts)
 
 
@@ -209,129 +211,55 @@ def ratio_str(num: int, den: int) -> str:
     return f"{num}/{den}" if den != 1 else str(num)
 
 
-class LaurentBiPoly(NamedTuple("LaurentBiPoly", [("terms", dict)])):
-    """Sparse element of Z[s^{+-1}][u]: map (s-exponent, u-exponent) -> int.
+# ---------------------------------------------------------------------------
+# Z[t][u]: a tuple of Z[t] coefficient tuples indexed by u-degree, with no
+# trailing (); the general-t Riley check runs here.
 
-    The half variable s satisfies s^2 = t; u-exponents are nonnegative,
-    s-exponents may be negative. Zero coefficients are never stored, so
-    equal polynomials hold equal dicts; no dict is changed once built.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, terms=None):
-        clean = {}
-        if terms:
-            for (se, ue), c in terms.items():
-                if not isinstance(c, int):
-                    raise TypeError("LaurentBiPoly coefficients must be int")
-                if ue < 0:
-                    raise ValueError("u-exponents must be nonnegative")
-                if c:
-                    clean[(se, ue)] = c
-        return tuple.__new__(cls, (clean,))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return LaurentBiPoly(out)
-
-    def __neg__(self):
-        return LaurentBiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentBiPoly):
-            return NotImplemented
-        out = {}
-        for (s1, u1), c1 in self.terms.items():
-            for (s2, u2), c2 in other.terms.items():
-                k = (s1 + s2, u1 + u2)
-                v = out.get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return LaurentBiPoly(out)
-
-    # an int factor raises, rather than repeating the tuple
-    __rmul__ = __mul__
-
-    def s_exponents_all_even(self) -> bool:
-        return all(se % 2 == 0 for (se, _u) in self.terms)
-
-    def u_degree(self) -> int:
-        """Degree in u, -1 for zero (as len(a) - 1 on tuples)."""
-        return max((ue for (_s, ue) in self.terms), default=-1)
-
-    def u_coefficient(self, ue: int) -> "LaurentBiPoly":
-        """The coefficient of u^ue, as a Laurent polynomial in s alone."""
-        return LaurentBiPoly(
-            {(se, 0): c for (se, u), c in self.terms.items() if u == ue}
-        )
-
-    def eval_s_to_i(self) -> tuple:
-        """Substitute s -> sqrt(-1) exactly, yielding an integer polynomial
-        in u; s^se = (-1)^(se/2), so every s-exponent must be even."""
-        if not self.s_exponents_all_even():
-            raise ValueError("odd s-exponent: the value at s = i is not real")
-        out = [0] * (self.u_degree() + 1)
-        for (se, ue), c in self.terms.items():
-            out[ue] += c if se % 4 == 0 else -c
-        return _trim(out)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (se, ue), c in sorted(self.terms.items()):
-            piece = str(c)
-            if se:
-                piece += f"*s^{se}"
-            if ue:
-                piece += f"*u^{ue}"
-            parts.append(piece)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"LaurentBiPoly({self})"
+def _imul(a: tuple, b: tuple) -> tuple:
+    """The product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim(out)
 
 
-LB_ZERO = LaurentBiPoly()
-LB_ONE = LaurentBiPoly({(0, 0): 1})
-LB_S = LaurentBiPoly({(1, 0): 1})
-LB_S_INV = LaurentBiPoly({(-1, 0): 1})
-LB_U = LaurentBiPoly({(0, 1): 1})
+def _badd(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, x in enumerate(b):
+        out[k] = _iadd(out[k], x)
+    return _trim(out)
 
 
-def laurent_pseudo_rem_u(p: LaurentBiPoly, phi: LaurentBiPoly) -> LaurentBiPoly:
-    """Pseudo-remainder of p by phi, viewed as polynomials in u.
+def _bsub(a: tuple, b: tuple) -> tuple:
+    return _badd(a, tuple(map(_ineg, b)))
 
-    Each step multiplies the running remainder by the u-leading coefficient
-    of phi, so over the integral domain Z[s^{+-1}] the result is zero exactly
-    when phi divides p in (fraction field)[u].
-    """
-    if not phi:
+
+def _bmul_t(a: tuple) -> tuple:
+    return tuple(map(_ishift, a))
+
+
+def _bmul_u(a: tuple) -> tuple:
+    return ((),) + a if a else ()
+
+
+def _bprem(a: tuple, b: tuple) -> tuple:
+    """The pseudo-remainder of a by b in u over Z[t], as sympy's prem:
+    lc(b)^(deg a - deg b + 1) * a mod b, or a if deg a < deg b. Z[t] is
+    an integral domain, so it is zero exactly when b divides a over
+    Q(t)."""
+    if not b:
         raise ZeroDivisionError("pseudo-remainder by zero")
-    d = phi.u_degree()
-    lc = phi.u_coefficient(d)
-    r = p
-    while r.u_degree() >= d:
-        rd = r.u_degree()
-        rlc = r.u_coefficient(rd)
-        shift = LaurentBiPoly({(0, rd - d): 1})
-        r = lc * r - rlc * shift * phi
-    return r
-
+    d = len(b) - 1
+    lc = b[-1]
+    rem = list(a)
+    # each step clears the coefficient of u^(k + d)
+    for k in range(len(a) - 1 - d, -1, -1):
+        c = rem.pop()
+        rem = [_imul(lc, x) for x in rem]
+        for j in range(d):
+            rem[k + j] = _isub(rem[k + j], _imul(c, b[j]))
+    return _trim(rem)

@@ -13,15 +13,21 @@ class IntLinAlgError(ValueError):
     pass
 
 
+def _entry(x) -> int:
+    if type(x) is bool:
+        raise IntLinAlgError(f"matrix entry {x} is a boolean, not an integer")
+    return operator.index(x)
+
+
 class IntMat(NamedTuple("IntMat", [("entries", tuple)])):
     """Immutable integer matrix, row-major: a tuple of equal-length row
     tuples. Entries must be integers (int or any type with __index__);
-    floats, strs and Fractions are refused, never truncated."""
+    booleans, floats, strs and Fractions are refused, never truncated."""
 
     __slots__ = ()
 
     def __new__(cls, entries):
-        rows = tuple(tuple(map(operator.index, row)) for row in entries)
+        rows = tuple(tuple(map(_entry, row)) for row in entries)
         if not rows or not rows[0]:
             raise IntLinAlgError("matrix must be nonempty")
         if any(len(r) != len(rows[0]) for r in rows):
@@ -45,25 +51,17 @@ class IntMat(NamedTuple("IntMat", [("entries", tuple)])):
     def transpose(self) -> "IntMat":
         return IntMat(list(zip(*self.entries)))
 
-    def __add__(self, other):
+    def _entrywise(self, other, op, what):
         if self.rows != other.rows or self.cols != other.cols:
-            raise IntLinAlgError("shape mismatch in addition")
-        return IntMat(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+            raise IntLinAlgError(f"shape mismatch in {what}")
+        pairs = zip(self.entries, other.entries)
+        return IntMat(list(map(op, ra, rb)) for ra, rb in pairs)
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add, "addition")
 
     def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise IntLinAlgError("shape mismatch in subtraction")
-        return IntMat(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self._entrywise(other, operator.sub, "subtraction")
 
     def __matmul__(self, other):
         if self.cols != other.rows:

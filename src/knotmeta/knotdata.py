@@ -70,6 +70,8 @@ class TwoBridge(NamedTuple("TwoBridge", [("name", str), ("p", int), ("q", int)])
     __slots__ = ()
 
     def __new__(cls, name: str, p: int, q: int):
+        if type(p) is not int or type(q) is not int:
+            raise KnotDataError(f"{name}: p and q must be integers, got ({p!r}, {q!r})")
         if p % 2 == 0 or p < 3:
             raise KnotDataError(f"{name}: p must be odd and >= 3, got {p}")
         if q % 2 == 0:
@@ -91,7 +93,7 @@ class GroupWord(NamedTuple("GroupWord", [("letters", tuple)])):
 
     def __new__(cls, letters: tuple):
         for g, e in letters:
-            if g not in (1, 2) or e not in (1, -1):
+            if not type(g) is type(e) is int or g not in (1, 2) or e not in (1, -1):
                 raise KnotDataError(f"bad letter ({g}, {e}) in group word")
         return tuple.__new__(cls, (letters,))
 

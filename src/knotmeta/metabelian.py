@@ -74,11 +74,12 @@ def count_metabelian(K) -> int:
 def _exact(thetas, knot: str = "") -> list:
     """The entries of a rotation vector, each with an integer numerator and
     denominator. Any other entry, such as a float or a str, raises
-    ValueError naming its index; it is never coerced."""
+    ValueError naming its index; it is never coerced, and neither is a
+    boolean."""
     thetas = list(thetas)
     for i, t in enumerate(thetas):
         n, d = getattr(t, "numerator", None), getattr(t, "denominator", None)
-        if not (isinstance(n, int) and isinstance(d, int)):
+        if type(t) is bool or not (isinstance(n, int) and isinstance(d, int)):
             raise ValueError(
                 f"{knot}rotation vector entry {i} is {t!r}, not an exact rational"
             )

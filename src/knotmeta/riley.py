@@ -1,8 +1,11 @@
-"""Riley apparatus for 2-bridge knots S(p,q): word holonomy over
-Z[s^{+-1}][u] (s^2 = t), the Riley polynomial, its t = -1 section, and
-exact verification of the relator and longitude identities mod phi.
+"""Riley apparatus for 2-bridge knots S(p,q): word holonomy over Z[t][u],
+the Riley polynomial, its t = -1 section, and exact verification of the
+relator and longitude identities mod phi.
 
-At t = -1 every generator image is i times an involutive integer matrix:
+With s^2 = t, s*rho(x1) = [[t,1],[0,1]] and s*rho(x2) = [[t,0],[-tu,1]]
+and their adjugates are integer matrices, so rho(w) = s^-len(w) * M_w with
+M_w over Z[t][u], and the general-t check never needs s. At t = -1 every
+generator image is i times an involutive integer matrix:
 
     rho(x1) = i*N1,  N1 = [[1,-1],[0,-1]],
     rho(x2) = i*N2,  N2 = [[1,0],[-u,-1]],   N1^2 = N2^2 = id,
@@ -14,12 +17,10 @@ each such P is built once and memoized. The relator of every S(p, +-q)
 reduces to (x1, p - 1) and the longitude to the empty word, so a sweep
 builds one relator matrix per p and none for the longitude. The power form
 (rho(x1) rho(x2))^{(p-1)/2} is memoized per p and the squarefree
-certificate per phi; every per-knot check still runs for each knot. All
-t = -1 computation runs on the integer coefficient tuples of exactalg's
-kernel. The Laurent route (word_holonomy + eval_s_to_i) is kept as the
-independent cross-check. On both routes a 2x2 matrix is the plain tuple
-(a, b, c, d): _mat_mul multiplies LaurentBiPoly entries, and the t = -1
-products are folded entry by entry on integer tuples.
+certificate per phi; every per-knot check still runs for each knot. M_w
+at t = -1 is the independent cross-check of the reduced route. On both
+routes a 2x2 matrix is the tuple (a, b, c, d), folded row by row with
+shift/add steps on exactalg's integer tuples.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exactalg import (
-    LB_ONE,
-    LB_S,
-    LB_S_INV,
-    LB_U,
-    LB_ZERO,
-    LaurentBiPoly,
+    _badd,
+    _bmul_t,
+    _bmul_u,
+    _bprem,
+    _bsub,
     _content_normalize,
     _coprime_certified,
     _iadd,
@@ -46,7 +46,6 @@ from .exactalg import (
     _primitive,
     _sign_at,
     _value_and_slope,
-    laurent_pseudo_rem_u,
     poly_derivative,
     poly_gcd,
     poly_str,
@@ -60,44 +59,47 @@ class RileyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Laurent-ring holonomy (the general-t route)
+# Holonomy over Z[t][u] (the general-t route)
 
-def _mat_mul(X: tuple, Y: tuple) -> tuple:
-    """The product of 2x2 matrices (a, b, c, d) over any ring."""
-    a, b, c, d = X
-    e, f, g, h = Y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-_X1 = (LB_S, LB_S_INV, LB_ZERO, LB_S_INV)
-_X2 = (LB_S, LB_ZERO, -(LB_S * LB_U), LB_S_INV)
-# adjugate inverses (determinants are 1)
-_X1_INV = (LB_S_INV, -LB_S_INV, LB_ZERO, LB_S)
-_X2_INV = (LB_S_INV, LB_ZERO, LB_S * LB_U, LB_S)
-
-
-_IMAGES = {(1, 1): _X1, (2, 1): _X2, (1, -1): _X1_INV, (2, -1): _X2_INV}
+def _times_letter(X: tuple, Y: tuple, g: int, e: int) -> tuple:
+    """The matrix row (X, Y) times s*rho(x_g^e), over Z[t][u]."""
+    if g == 1:
+        if e == 1:
+            # [[t,1],[0,1]]
+            return _bmul_t(X), _badd(X, Y)
+        # [[1,-1],[0,t]]
+        return X, _bsub(_bmul_t(Y), X)
+    if e == 1:
+        # [[t,0],[-tu,1]]
+        return _bmul_t(_bsub(X, _bmul_u(Y))), Y
+    # [[1,0],[tu,t]]
+    return _badd(X, _bmul_t(_bmul_u(Y))), _bmul_t(Y)
 
 
 def word_holonomy(w: GroupWord) -> tuple:
-    """Exact product of generator images over Z[s^{+-1}][u], as the matrix
-    (a, b, c, d)."""
-    acc = (LB_ONE, LB_ZERO, LB_ZERO, LB_ONE)
-    for letter in w.letters:
-        acc = _mat_mul(acc, _IMAGES[letter])
-    return acc
+    """M_w = s^len(w) * rho(w) over Z[t][u], as the matrix (A, B, C, D):
+    the product of the integer matrices s*rho(x_g^e), letter by letter."""
+    A, B, C, D = ((1,),), (), (), ((1,),)
+    for g, e in w.letters:
+        A, B = _times_letter(A, B, g, e)
+        C, D = _times_letter(C, D, g, e)
+    return A, B, C, D
 
 
-def riley_polynomial(K: TwoBridge) -> LaurentBiPoly:
-    """phi(t,u) = w11 + (1 - t) w12 from the relator holonomy. Lives in
-    Z[t^{+-1}][u]: only even s-exponents may appear."""
-    w11, w12, _w21, _w22 = word_holonomy(relator_word(K))
-    phi = w11 + (LB_ONE - LB_S * LB_S) * w12
-    if not phi.s_exponents_all_even():
-        raise RileyError(
-            f"{K.name}: Riley polynomial has odd s-exponents; invariant breach"
-        )
-    return phi
+def _relator_holonomy(K: TwoBridge) -> tuple:
+    """(M_w, Phi) for the relator word w of K, Phi = M11 + (1 - t) M12;
+    phi = s^-len(w) * Phi lies in Z[t^{+-1}][u] only for even len(w)."""
+    w = relator_word(K)
+    if len(w) % 2:
+        raise RileyError(f"{K.name}: relator word has odd length {len(w)}")
+    A, B, C, D = M = word_holonomy(w)
+    return M, _bsub(_badd(A, B), _bmul_t(B))
+
+
+def riley_polynomial(K: TwoBridge) -> tuple:
+    """Phi(t,u) = t^((p-1)/2) * phi(t,u) = M11 + (1 - t) M12 over Z[t][u],
+    from the relator holonomy."""
+    return _relator_holonomy(K)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +116,6 @@ def _is_squarefree(phi: tuple) -> bool:
 
 # ---------------------------------------------------------------------------
 # Holonomy at t = -1 over the integer kernel
-
-_IZERO = ()
-_IONE = (1,)
-
 
 def _holonomy_at_i(w: GroupWord):
     """rho(w) at t = -1 as (k, P): a unit i^k and a 2x2 integer-polynomial
@@ -144,7 +142,7 @@ def _holonomy_at_i(w: GroupWord):
 def _alternating_at_i(g: int, n: int):
     """The product N_g N_g' N_g ... of n alternating factors, starting at
     N_g, as an integer-polynomial matrix (A, B, C, D)."""
-    A, B, C, D = _IONE, _IZERO, _IZERO, _IONE
+    A, B, C, D = (1,), (), (), (1,)
     for j in range(n):
         if (g + j) % 2 == 1:
             # right-multiply by N1 = [[1,-1],[0,-1]]
@@ -161,20 +159,12 @@ def _alternating_at_i(g: int, n: int):
 def _power_x1x2_at_i(n: int):
     """((rho(x1) rho(x2)) at t=-1)^n = [[-1-u,-1],[-u,-1]]^n, folded with
     shift/add steps only; memoized per n."""
-    A, B, C, D = _IONE, _IZERO, _IZERO, _IONE
+    A, B, C, D = (1,), (), (), (1,)
     for _ in range(n):
         # right-multiply by M = [[-1-u,-1],[-u,-1]]
         A, B = _isub(_ineg(A), _ishift(_iadd(A, B))), _ineg(_iadd(A, B))
         C, D = _isub(_ineg(C), _ishift(_iadd(C, D))), _ineg(_iadd(C, D))
     return A, B, C, D
-
-
-def _scaled_eq(k: int, P: tuple, Q: tuple) -> bool:
-    """i^k * P == Q for integer matrices, k even."""
-    sign = 1 if k % 4 == 0 else -1
-    return all(
-        (p if sign == 1 else _ineg(p)) == q for p, q in zip(P, Q)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +188,19 @@ def section_at_minus_one(K: TwoBridge) -> RileySection:
     claim: degrees (p-1)/2 and (p-3)/2, the product identity
     rho(w) = (rho(x1) rho(x2))^{(p-1)/2}, unit leading coefficient, and
     squarefreeness of phi(-1,u)."""
-    p = K.p
-    half = (p - 1) // 2
+    half = (K.p - 1) // 2
     k, relator = _holonomy_at_i(relator_word(K))
     if k % 2 != 0:
         raise RileyError(f"{K.name}: relator holonomy carries an odd power of i")
-    sign = 1 if k == 0 else -1
 
-    power = _power_x1x2_at_i(half)
-    if not _scaled_eq(k, relator, power):
+    # i^k * relator must be the power form, whose first row is (w11, w12)
+    w11, w12, _c, _d = power = _power_x1x2_at_i(half)
+    if (relator if k == 0 else tuple(map(_ineg, relator))) != power:
         raise RileyError(
             f"{K.name}: letter-product holonomy differs from the "
             f"(rho(x1)rho(x2))^{half} power form at t = -1"
         )
 
-    w11 = tuple(sign * x for x in relator[0])
-    w12 = tuple(sign * x for x in relator[1])
     if len(w11) - 1 != half:
         raise RileyError(
             f"{K.name}: deg w11(-1,u) = {len(w11) - 1}, expected {half}"
@@ -269,17 +256,14 @@ class RelatorReport(NamedTuple):
     knot: str
     ok: bool
     # the four entries of rho(w)rho(x1) - rho(x2)rho(w) mod phi: integer
-    # tuples at t = -1, LaurentBiPoly pseudo-remainders at general t
+    # tuples at t = -1, Z[t][u] pseudo-remainders at general t
     residues: tuple
 
     def to_dict(self) -> dict:
         return {
             "knot": self.knot,
             "ok": self.ok,
-            "residues": [
-                str(r) if isinstance(r, LaurentBiPoly) else poly_str(r)
-                for r in self.residues
-            ],
+            "residues": [poly_str(r) for r in self.residues],
         }
 
 
@@ -334,15 +318,9 @@ def verify_longitude_mod_phi(
     a, b, c, d = (
         _irem_monic(tuple(sign * x for x in e), phi) for e in (A, B, C, D)
     )
-    if b == () and c == ():
-        if a == (1,) and d == (1,):
-            result = "id"
-        elif a == (-1,) and d == (-1,):
-            result = "-id"
-        else:
-            result = "neither"
-    else:
-        result = "neither"
+    result = "neither"
+    if not b and not c and a == d and a in ((1,), (-1,)):
+        result = "id" if a == (1,) else "-id"
     trace = _irem_monic(_isub(_iadd(a, d), (2,)), phi)
     return LongitudeReport(knot=K.name, result=result, trace_is_two=trace == ())
 
@@ -547,10 +525,15 @@ def approx_real_roots(phi: tuple, bits: int = 50):
 
 
 def verify_relator_general_t(K: TwoBridge) -> RelatorReport:
-    """The relator identity over Z[s^{+-1}][u] modulo phi(t,u), via
-    pseudo-remainders in u. Exact but costly; off the default path."""
-    phi = riley_polynomial(K)
-    rho_w = word_holonomy(relator_word(K))
-    diff = zip(_mat_mul(rho_w, _X1), _mat_mul(_X2, rho_w))
-    residues = tuple(laurent_pseudo_rem_u(l - r, phi) for l, r in diff)
+    """The relator identity rho(w) rho(x1) = rho(x2) rho(w) modulo
+    phi(t,u). With s cleared it reads M_w s*rho(x1) = s*rho(x2) M_w over
+    Z[t][u], and each entry of the difference must leave a zero
+    pseudo-remainder in u by Phi; the relator holonomy is built once."""
+    (A, B, C, D), phi = _relator_holonomy(K)
+    # M_w times s*rho(x1) = [[t,1],[0,1]]
+    lhs = (*_times_letter(A, B, 1, 1), *_times_letter(C, D, 1, 1))
+    # s*rho(x2) = [[t,0],[-tu,1]] times M_w
+    tuA, tuB = _bmul_t(_bmul_u(A)), _bmul_t(_bmul_u(B))
+    rhs = (_bmul_t(A), _bmul_t(B), _bsub(C, tuA), _bsub(D, tuB))
+    residues = tuple(_bprem(_bsub(l, r), phi) for l, r in zip(lhs, rhs))
     return RelatorReport(knot=K.name, ok=not any(residues), residues=residues)

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotmeta.exactalg import (
-    LaurentBiPoly,
-    LB_ONE,
-    LB_S,
-    LB_S_INV,
-    LB_U,
+    _badd,
+    _bmul_t,
+    _bmul_u,
+    _bprem,
+    _bsub,
     _iadd,
+    _imul,
     _irem_monic,
     _ishift,
     _isub,
@@ -22,7 +23,8 @@ from knotmeta.exactalg import (
     poly_str,
     ratio_str,
 )
-from knotmeta.riley import _mat_mul
+from knotmeta.knotdata import GroupWord
+from knotmeta.riley import word_holonomy
 
 
 def mul(a, b):
@@ -47,11 +49,11 @@ class TestUniPoly:
         assert mul((2, 1), (3, 1)) == (6, 5, 1)
 
     def test_zero_degree_sentinel(self):
-        # u_degree of zero is -1, matching len(a) - 1 on tuples
-        zero = LaurentBiPoly()
-        assert zero.u_degree() == -1 == len(zero.eval_s_to_i()) - 1
-        assert LB_ONE.u_degree() == 0
-        assert (LB_U * LB_U + LB_S).u_degree() == 2
+        # over Z[t][u] as over Z, the u-degree is len(a) - 1, -1 for zero
+        one = ((1,),)
+        assert len(_bsub(one, one)) - 1 == -1
+        assert len(one) - 1 == 0
+        assert len(_badd(_bmul_u(_bmul_u(one)), _bmul_t(one))) - 1 == 2
 
     def test_add_sub_trim(self):
         assert _iadd((1, 2, 3), (1, 2, -3)) == (2, 4)
@@ -102,55 +104,60 @@ class TestUniPoly:
         assert poly_str(()) == "0"
 
 
-class TestLaurentBiPoly:
-    def test_unit_cancellation(self):
-        assert LB_S * LB_S_INV == LB_ONE
+class TestBiPoly:
+    """Z[t][u]: a tuple indexed by u-degree of Z[t] tuples."""
 
-    def test_hand_expansion(self):
-        p = LB_S * LB_S - LB_U
-        got = p * (LB_S_INV * LB_S_INV)
-        assert got == LB_ONE - LB_U * LB_S_INV * LB_S_INV
+    def test_imul_hand_expansion(self):
+        assert _imul((1, 1), (-1, 1)) == (-1, 0, 1)
+        assert _imul((0, 0, 1), (3, 2)) == (0, 0, 3, 2)
+        assert _imul((), (1, 2)) == _imul((1, 2), ()) == ()
 
-    def test_one_is_identity(self):
-        p = LaurentBiPoly({(-3, 2): 5, (1, 0): -1})
-        assert p * LB_ONE == p
+    def test_add_trims_empty_coefficients(self):
+        a = ((1,), (0, 1), (2, 0, 3))
+        assert _bsub(a, a) == ()
+        assert _bsub(a, ((), (), (2, 0, 3))) == ((1,), (0, 1))
+        assert _badd(((1,),), ((-1,), (5,))) == ((), (5,))
 
-    def test_eval_s_squared(self):
-        assert (LB_S * LB_S).eval_s_to_i() == (-1,)
+    def test_shifts(self):
+        a = ((1,), (), (2, 1))
+        assert _bmul_t(a) == ((0, 1), (), (0, 2, 1))
+        assert _bmul_u(a) == ((), (1,), (), (2, 1))
+        assert _bmul_t(()) == _bmul_u(()) == ()
 
-    def test_eval_matches_hand_expansion(self):
-        assert (LB_S * LB_S - LB_U).eval_s_to_i() == (-1, -1)
-
-    def test_eval_s_inverse(self):
-        # s^-1 -> -i is not real: odd s-exponents are refused
-        with pytest.raises(ValueError):
-            LB_S_INV.eval_s_to_i()
-        assert (LB_S_INV * LB_S_INV).eval_s_to_i() == (-1,)
-
-    def test_u_exponent_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            LaurentBiPoly({(0, -1): 1})
+    def test_prem_hand_expansion(self):
+        # t^2 (t u^2 + 1) mod (t u + 2) = t^2 + 4t
+        assert _bprem(((1,), (), (0, 1)), ((2,), (0, 1))) == ((0, 4, 1),)
+        # deg a < deg b: a itself
+        assert _bprem(((1,), (3,)), ((1,), (), (1,))) == ((1,), (3,))
+        with pytest.raises(ZeroDivisionError):
+            _bprem(((1,),), ())
 
 
 class TestMatrixTuples:
-    """A 2x2 matrix is the tuple (a, b, c, d); _mat_mul multiplies over any
-    commutative ring."""
+    """A 2x2 matrix is the tuple (a, b, c, d); at t = -1 the letter matrices
+    of word_holonomy are the involutions -N_g."""
 
     def test_x1_x2_product_at_minus_one(self):
-        # at t = -1 each letter maps to i*N_g with N_g^2 = 1, so x1 x2 =
-        # -N1 N2; the trace of N1 N2 is 2 + u
-        u = Fraction(3, 2)
-        n1 = (1, -1, 0, -1)
-        n2 = (1, 0, -u, -1)
-        assert _mat_mul(n1, n1) == _mat_mul(n2, n2) == (1, 0, 0, 1)
-        a, b, c, d = _mat_mul(n1, n2)
-        assert a + d == 2 + u
-        assert a * d - b * c == 1
+        # M_w = s^len(w) rho(w) and rho(x_g) = i N_g at s = i, so the t = -1
+        # value of M_w is N_g for w = x_g x_g and N1 N2 for w = x1 x2; the
+        # trace of N1 N2 is 2 + u
+        def at_minus_one(w):
+            return tuple(
+                _trim([sum(e[::2]) - sum(e[1::2]) for e in entry])
+                for entry in word_holonomy(GroupWord(w))
+            )
+
+        identity = ((1,), (), (), (1,))
+        assert at_minus_one(((1, 1), (1, 1))) == identity
+        assert at_minus_one(((2, 1), (2, 1))) == identity
+        a, b, c, d = at_minus_one(((1, 1), (2, 1)))
+        assert _iadd(a, d) == (2, 1)
+        assert _isub(mul(a, d), mul(b, c)) == (1,)
 
     def test_antidiagonal_square_is_minus_identity(self):
         b = Fraction(3, 2)
-        M = (0, b, -1 / b, 0)
-        assert _mat_mul(M, M) == (-1, 0, 0, -1)
+        x, y, z, w = 0, b, -1 / b, 0
+        assert (x * x + y * z, x * y + y * w, z * x + w * z, z * y + w * w) == (-1, 0, 0, -1)
 
 
 def test_gcd_matches_sympy():
@@ -179,16 +186,8 @@ small_poly = st.lists(st.integers(-5, 5), max_size=4).map(_trim)
 nonzero_poly = small_poly.filter(bool)
 monic_poly = st.lists(st.integers(-5, 5), max_size=3).map(lambda c: tuple(c) + (1,))
 
-small_laurent = st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.integers(0, 3)),
-    st.integers(-5, 5),
-    max_size=4,
-).map(LaurentBiPoly)
-even_laurent = st.dictionaries(
-    st.tuples(st.integers(-2, 2).map(lambda k: 2 * k), st.integers(0, 3)),
-    st.integers(-5, 5),
-    max_size=4,
-).map(LaurentBiPoly)
+small_bipoly = st.lists(small_poly, max_size=3).map(_trim)
+nonzero_bipoly = small_bipoly.filter(bool)
 
 
 @settings(max_examples=60)
@@ -214,19 +213,37 @@ def test_poly_rem_ideal_invariance(a, r, phi):
 
 
 @settings(max_examples=60)
-@given(small_laurent, small_laurent, small_laurent)
-def test_laurent_ring_axioms(p, q, r):
-    assert p + q == q + p
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
+@given(small_poly, small_poly)
+def test_imul_matches_shift_add(p, q):
+    assert _imul(p, q) == mul(p, q)
 
 
 @settings(max_examples=60)
-@given(even_laurent, even_laurent)
-def test_eval_s_to_i_is_ring_homomorphism(p, q):
-    assert (p * q).eval_s_to_i() == mul(p.eval_s_to_i(), q.eval_s_to_i())
-    assert (p + q).eval_s_to_i() == _iadd(p.eval_s_to_i(), q.eval_s_to_i())
+@given(small_bipoly, small_bipoly, small_bipoly)
+def test_bipoly_additive_group_and_shifts(p, q, r):
+    assert _badd(p, q) == _badd(q, p)
+    assert _badd(_badd(p, q), r) == _badd(p, _badd(q, r))
+    assert _bsub(_badd(p, q), q) == p
+    assert _bmul_t(_bmul_u(p)) == _bmul_u(_bmul_t(p))
+    assert _bmul_t(_badd(p, q)) == _badd(_bmul_t(p), _bmul_t(q))
+
+
+def test_bprem_matches_sympy():
+    u, t = sympy.symbols("u t")
+    rng = random.Random(17)
+
+    def rand_bipoly(deg_u):
+        rows = [[rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] for _ in range(deg_u)]
+        rows.append([rng.randint(-4, 4) for _ in range(rng.randint(0, 2))] + [rng.choice((-2, 1, 3))])
+        return _trim([_trim(row) for row in rows])
+
+    def to_sympy(a):
+        return sum(c * t**i * u**j for j, row in enumerate(a) for i, c in enumerate(row))
+
+    for _ in range(80):
+        a, b = rand_bipoly(rng.randint(0, 5)), rand_bipoly(rng.randint(0, 3))
+        expected = sympy.expand(sympy.prem(to_sympy(a), to_sympy(b), u))
+        assert sympy.expand(to_sympy(_bprem(a, b)) - expected) == 0, (a, b)
 
 
 # small values (zero, units, shared factors) and values far beyond one word

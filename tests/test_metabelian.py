@@ -178,6 +178,14 @@ class TestVerifyClass:
         with pytest.raises(ValueError, match="entry 0 is 0.5"):
             canonical_rotation((0.5, Fraction(1, 2)))
 
+    def test_boolean_entries_raise(self):
+        # True has numerator 1 and denominator 1, but it is not a rational
+        with pytest.raises(ValueError) as info:
+            verify_class(TREFOIL, (True, Fraction(2, 3)))
+        assert str(info.value) == (
+            "3_1: rotation vector entry 0 is True, not an exact rational"
+        )
+
     def test_int_entries_reduce_like_fractions(self):
         mixed = verify_class(TREFOIL, (1, Fraction(-2, 3)))
         assert mixed == verify_class(TREFOIL, (Fraction(0), Fraction(1, 3)))

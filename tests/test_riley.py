@@ -6,20 +6,19 @@ import pytest
 
 from knotmeta import riley
 from knotmeta.exactalg import (
-    LB_ONE,
-    LB_S,
-    LB_S_INV,
-    LB_U,
-    LB_ZERO,
     _CERT_PRIME,
+    _badd,
+    _bsub,
     _content_normalize,
     _gcd_degree_mod,
     _iadd,
+    _imul,
     _ineg,
     _iprem,
     _irem_monic,
     _ishift,
     _isub,
+    _trim,
 )
 from knotmeta.knotdata import (
     GroupWord,
@@ -30,9 +29,9 @@ from knotmeta.knotdata import (
 )
 from knotmeta.riley import (
     RelatorReport,
+    RileyError,
     _holonomy_at_i,
     _is_squarefree,
-    _mat_mul,
     _power_x1x2_at_i,
     approx_real_roots,
     cross_check_counts,
@@ -57,6 +56,37 @@ def fresh_memos():
         memo.cache_clear()
 
 
+def at_minus_one(a):
+    """An element of Z[t][u] at t = -1, as an integer polynomial in u."""
+    return _trim([sum(e[::2]) - sum(e[1::2]) for e in a])
+
+
+def bmul(a, b):
+    """Product in Z[t][u], term by term in u."""
+    out = ()
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out = _badd(out, ((),) * (i + j) + (_imul(x, y),))
+    return out
+
+
+def mat_mul(X, Y):
+    """Product of 2x2 matrices (a, b, c, d) over Z[t][u]."""
+    a, b, c, d = X
+    e, f, g, h = Y
+    return (
+        _badd(bmul(a, e), bmul(b, g)),
+        _badd(bmul(a, f), bmul(b, h)),
+        _badd(bmul(c, e), bmul(d, g)),
+        _badd(bmul(c, f), bmul(d, h)),
+    )
+
+
+def t_power(n):
+    """t^n in Z[t][u]."""
+    return ((0,) * n + (1,),)
+
+
 def letter_walk_at_i(w):
     """Reference for _holonomy_at_i: right-multiply by i*N_g letter by
     letter, with no reduction and no memo."""
@@ -75,8 +105,8 @@ def letter_walk_at_i(w):
 
 class TestReducedHolonomy:
     """_holonomy_at_i reduces the word in Z/2 * Z/2 and memoizes the
-    alternating product; it must agree with the plain letter walk and, at
-    small p, with the Laurent route."""
+    alternating product; it must agree with the plain letter walk and with
+    the general-t route."""
 
     KNOTS = all_two_bridge(45, include_negative_q=True)
 
@@ -86,14 +116,16 @@ class TestReducedHolonomy:
             for w in (relator_word(K), longitude_word(K)):
                 assert _holonomy_at_i(w) == letter_walk_at_i(w), K.name
 
-    def test_matches_laurent_route_p_le_15(self):
-        for K in all_two_bridge(15, include_negative_q=True):
+    def test_matches_general_t_route_p_le_45(self):
+        # M_w = s^len(w) rho(w) = i^(len(w) + k) P at s = i, and len(w) + k
+        # is even: each x_g adds 2 and each x_g^-1 adds 4
+        for K in self.KNOTS:
             for w in (relator_word(K), longitude_word(K)):
                 k, P = _holonomy_at_i(w)
-                sign = 1 if k == 0 else -1
-                lau = word_holonomy(w)
-                assert P == tuple(
-                    tuple(sign * x for x in e.eval_s_to_i()) for e in lau
+                assert (len(w) + k) % 2 == 0
+                sign = (-1) ** ((len(w) + k) // 2)
+                assert tuple(at_minus_one(e) for e in word_holonomy(w)) == tuple(
+                    tuple(sign * x for x in e) for e in P
                 ), K.name
 
     def test_relator_and_longitude_reduce(self):
@@ -122,57 +154,74 @@ class TestReducedHolonomy:
         assert _holonomy_at_i(w) == (1, riley._alternating_at_i(2, 1))
 
 
-ID = (LB_ONE, LB_ZERO, LB_ZERO, LB_ONE)
+ID = (((1,),), (), (), ((1,),))
 
 
 class TestWordHolonomy:
+    """M_w = s^len(w) rho(w) over Z[t][u], with s^2 = t."""
+
     def test_empty_word_is_identity(self):
         assert word_holonomy(GroupWord(())) == ID
 
     def test_x1_x2_product(self):
+        # [[t,1],[0,1]] [[t,0],[-tu,1]] = [[t^2 - tu, 1], [-tu, 1]]
         got = word_holonomy(GroupWord(((1, 1), (2, 1))))
-        assert got == (
-            LB_S * LB_S - LB_U,
-            LB_S_INV * LB_S_INV,
-            -LB_U,
-            LB_S_INV * LB_S_INV,
-        )
+        assert got == (((0, 0, 1), (0, -1)), ((1,),), ((), (0, -1)), ((1,),))
 
     def test_x1_x2_specializes_to_unit_matrix(self):
         a, b, c, d = word_holonomy(GroupWord(((1, 1), (2, 1))))
-        # at s^2 = -1 this is [[-1-u, -1], [-u, -1]]
-        assert a.eval_s_to_i() == (-1, -1)
-        assert b.eval_s_to_i() == (-1,)
-        assert c.eval_s_to_i() == (0, -1)
-        assert d.eval_s_to_i() == (-1,)
+        # at t = s^2 = -1 this is -[[-1-u, -1], [-u, -1]]
+        assert at_minus_one(a) == (1, 1)
+        assert at_minus_one(b) == (1,)
+        assert at_minus_one(c) == (0, 1)
+        assert at_minus_one(d) == (1,)
 
     def test_random_word_times_inverse(self):
+        # rho(w) rho(w^-1) = id, so M_w M_(w^-1) = t^len(w) id
         rng = random.Random(13)
         for _ in range(8):
             letters = tuple(
                 (rng.choice((1, 2)), rng.choice((1, -1))) for _ in range(6)
             )
             w = GroupWord(letters)
-            assert _mat_mul(word_holonomy(w), word_holonomy(w.inverse())) == ID
+            tn = t_power(len(w))
+            assert mat_mul(word_holonomy(w), word_holonomy(w.inverse())) == (tn, (), (), tn)
 
     def test_determinant_one(self):
+        # det rho(w) = 1, so det M_w = t^len(w)
         for K in all_two_bridge(9):
-            a, b, c, d = word_holonomy(relator_word(K))
-            assert a * d - b * c == LB_ONE
+            w = relator_word(K)
+            a, b, c, d = word_holonomy(w)
+            assert _bsub(bmul(a, d), bmul(b, c)) == t_power(len(w))
 
 
 class TestRileyPolynomial:
+    """Phi = M11 + (1 - t) M12 = t^((p-1)/2) phi(t,u) over Z[t][u]."""
+
     def test_s31_at_minus_one(self):
-        phi = riley_polynomial(tb(3, 1)).eval_s_to_i()
-        assert phi == (-3, -1)
+        # phi(-1,u) = -3 - u, times t = -1
+        assert at_minus_one(riley_polynomial(tb(3, 1))) == (3, 1)
 
     def test_s53_at_minus_one(self):
-        phi = riley_polynomial(tb(5, 3)).eval_s_to_i()
-        assert phi in ((5, 5, 1), (-5, -5, -1))
+        assert at_minus_one(riley_polynomial(tb(5, 3))) in ((5, 5, 1), (-5, -5, -1))
 
-    def test_only_even_s_exponents(self):
+    def test_only_even_s_exponents(self, monkeypatch):
+        # phi = s^-len(w) Phi has only even s-exponents: the relator word
+        # has even length, and an odd one is refused
         for K in all_two_bridge(11):
-            assert riley_polynomial(K).s_exponents_all_even()
+            assert len(relator_word(K)) % 2 == 0, K.name
+        monkeypatch.setattr(riley, "relator_word", lambda K: GroupWord(((1, 1),)))
+        with pytest.raises(RileyError, match="odd length 1"):
+            riley_polynomial(tb(5, 3))
+
+    def test_monic_in_u_up_to_a_power_of_t(self):
+        # deg_u Phi = (p-1)/2 with leading coefficient (-t)^((p-1)/2): phi
+        # is monic in u up to sign
+        for K in all_two_bridge(45, include_negative_q=True):
+            n = (K.p - 1) // 2
+            phi = riley_polynomial(K)
+            assert len(phi) - 1 == n, K.name
+            assert phi[-1] == (0,) * n + ((-1) ** n,), K.name
 
 
 class TestSectionFastPath:
@@ -194,13 +243,12 @@ class TestSectionFastPath:
             assert len(sec.w11) - 1 == (K.p - 1) // 2
             assert len(sec.w12) - 1 == (K.p - 3) // 2
 
-    def test_agrees_with_laurent_route(self):
-        # dual-route check: integer fast path vs full Laurent specialization
-        for K in all_two_bridge(13, include_negative_q=True):
+    def test_agrees_with_general_t_route(self):
+        # dual-route check: integer fast path vs Phi(-1,u) = +-phi(-1,u)
+        for K in all_two_bridge(45, include_negative_q=True):
             sec = section_at_minus_one(K)
-            lau = riley_polynomial(K).eval_s_to_i()
-            normalized = _ineg(lau) if lau[-1] < 0 else lau
-            assert sec.phi == normalized
+            phi = at_minus_one(riley_polynomial(K))
+            assert phi in (sec.phi, _ineg(sec.phi)), K.name
 
     def test_power_form_matches_letter_product(self):
         for K in all_two_bridge(15):
@@ -254,19 +302,30 @@ class TestVerifyOps:
             assert report.trace_is_two
 
     def test_relator_general_t(self):
-        for K in all_two_bridge(9):
+        for K in all_two_bridge(45, include_negative_q=True):
             assert verify_relator_general_t(K).ok, K.name
+
+    def test_flipped_exponent_leaves_general_t_residue(self, monkeypatch):
+        K = tb(13, 5)
+        letters = list(relator_word(K).letters)
+        g, e = letters[3]
+        letters[3] = (g, -e)
+        monkeypatch.setattr(riley, "relator_word", lambda K: GroupWord(tuple(letters)))
+        report = verify_relator_general_t(K)
+        assert not report.ok
+        assert any(report.residues)
 
     def test_report_serialization(self):
         d = verify_relator_mod_phi(tb(7, 3)).to_dict()
         assert d["ok"] is True
         assert d["residues"] == ["0"] * 4
 
-    def test_laurent_residue_serialization(self):
-        # a LaurentBiPoly is a tuple too; it must not render as an integer
-        # polynomial
-        r = RelatorReport("K", False, (LB_S * LB_S - LB_U, LB_ZERO, LB_ZERO, LB_ZERO))
-        assert r.to_dict()["residues"] == ["-1*u^1 + 1*s^2", "0", "0", "0"]
+    def test_general_t_residue_serialization(self):
+        # a Z[t][u] residue renders with t inside each u-coefficient
+        r = RelatorReport("K", False, (((0, 0, 1), (), (-1, 2)), (), (), ()))
+        assert r.to_dict()["residues"] == [
+            "((2)*t + (-1))*u^2 + ((1)*t^2)", "0", "0", "0",
+        ]
 
     def test_shared_section_gives_the_same_reports(self):
         for K in all_two_bridge(11, include_negative_q=True):

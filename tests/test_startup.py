@@ -19,9 +19,8 @@ from pathlib import Path
 import click
 import pytest
 
-from knotmeta.apoly import APoly, analyze
-from knotmeta.exactalg import LB_S, LB_U
-from knotmeta.intlinalg import IntMat, smith_normal_form
+from knotmeta.apoly import APoly, APolyError, analyze
+from knotmeta.intlinalg import IntLinAlgError, IntMat, smith_normal_form
 from knotmeta.knotdata import (
     GroupWord,
     KnotDataError,
@@ -78,7 +77,7 @@ def test_library_calls_load_them_on_demand(call, module):
 
 
 def all_records() -> list:
-    """One instance of each of the package's 18 record types."""
+    """One instance of each of the package's 17 record types."""
     K = TwoBridge("S(5,3)", 5, 3)
     sec = section_at_minus_one(K)
     c = enumerate_metabelian(TREFOIL)[0]
@@ -89,13 +88,13 @@ def all_records() -> list:
         smith_normal_form(TREFOIL.W), sec, verify_relator_mod_phi(K, sec),
         verify_longitude_mod_phi(K, sec), cross_check_counts(K, sec),
         A, report, report.profile, report.bound, report.probe, report.criteria[0],
-        TREFOIL.V, LB_S * LB_S - LB_U,
+        TREFOIL.V,
     ]
 
 
 def test_every_record_is_immutable():
     records = all_records()
-    assert len({type(r) for r in records}) == 18
+    assert len({type(r) for r in records}) == 17
     for r in records:
         for name in (*r._fields, "extra"):
             with pytest.raises(AttributeError):
@@ -108,8 +107,8 @@ def test_every_record_copies_and_pickles():
             assert type(twin) is type(r)
             assert twin == r
     # the value records are tuples, but an int factor must not repeat them
-    M, p = TREFOIL.V, LB_S
-    for product in (lambda: M * 2, lambda: 2 * M, lambda: p * 2, lambda: 2 * p):
+    M = TREFOIL.V
+    for product in (lambda: M * 2, lambda: 2 * M):
         with pytest.raises(TypeError):
             product()
 
@@ -175,6 +174,25 @@ def test_readme_repr():
             TypeError,
             "'float' object cannot be interpreted as an integer",
         ),
+        # a boolean is refused too, not read as 0 or 1
+        (
+            lambda: APoly.from_terms("x", {(0, True): True}),
+            APolyError,
+            "x: boolean True where an integer is expected",
+        ),
+        (
+            lambda: APoly.from_terms("x", {(0, 1): 1}, pq=(3, True)),
+            APolyError,
+            "x: boolean True where an integer is expected",
+        ),
+        (
+            lambda: IntMat([[True, False], [0, 1]]),
+            IntLinAlgError,
+            "matrix entry True is a boolean, not an integer",
+        ),
+        (lambda: TwoBridge("K", 5, True), KnotDataError, "K: p and q must be integers, got (5, True)"),
+        (lambda: TwoBridge("K", 5.0, 3), KnotDataError, "K: p and q must be integers, got (5.0, 3)"),
+        (lambda: GroupWord(((True, 1),)), KnotDataError, "bad letter (True, 1) in group word"),
     ],
 )
 def test_validating_records_keep_their_messages(build, error, message):
