@@ -1,11 +1,14 @@
 """Command-line frontend: parse inputs, orchestrate computations, render
 deterministic reports.
 
-Each command builds its JSON rows once, as a list of dicts or one dict.
-Table and CSV output are views of those rows, written by `_emit`. Exit
-codes: 0 success, 1 verification failure, 2 input error; `KnotmetaGroup`
-maps the package's errors to them in one place. JSON output is bit-stable
-(sorted keys, rationals rendered as "num/den" strings).
+Each command builds its JSON rows once, as one dict or an iterable of
+dicts; `meta-enum` and `meta-verify` feed a generator, knot by knot, so
+no report is ever held whole. `_emit` writes every row as it comes, as
+JSON, table or CSV. Exit codes: 0 success, 1 verification failure, 2
+input error; `KnotmetaGroup` maps the package's errors to them in one
+place. Input is validated in full before the first byte goes out. JSON
+output is bit-stable (sorted keys, rationals rendered as "num/den"
+strings).
 """
 
 from __future__ import annotations
@@ -87,19 +90,45 @@ def _json(o, indent="") -> str:
     raise TypeError(f"{t.__name__} has no JSON rendering here")
 
 
+def _json_rows(rows):
+    """The bytes of _json(list(rows)) in pieces, one per row, taken from
+    `rows` as it yields."""
+    sep = "[\n  "
+    for r in rows:
+        yield sep + _json(r, "  ")
+        sep = ",\n  "
+    yield "[]" if sep == "[\n  " else "\n]"
+
+
 def _emit(fmt, rows, line, columns=(), ok=True):
-    """Write `rows` (a list of dicts or one dict) as JSON, as a table of
-    `line(row)` strings, or, for a list of flat rows, as CSV over
-    `columns`. Then exit 1 unless `ok`."""
-    if fmt == "json":
-        click.echo(_json(rows))
-    elif fmt == "csv":
-        click.echo(",".join(columns))
-        for r in rows:
-            click.echo(",".join(_cell(r[k]) for k in columns))
+    """Write `rows`, one dict or an iterable of dicts, as JSON, as a table
+    of `line(row)` strings, or, for flat rows, as CSV over `columns`. An
+    iterable is written row by row as it yields and is never held: JSON
+    with one stdout write per row, table and CSV with one click.echo per
+    line. After the last row, exit 1 unless `ok` and no row reads
+    "ok": false."""
+    if type(rows) is dict:
+        click.echo(_json(rows) if fmt == "json" else line(rows))
+        ok = ok and rows.get("ok", True)
     else:
-        for r in rows if isinstance(rows, list) else [rows]:
-            click.echo(line(r))
+
+        def tally(rows):
+            nonlocal ok
+            for r in rows:
+                ok = ok and r.get("ok", True)
+                yield r
+
+        if fmt == "json":
+            write = sys.stdout.write
+            for piece in _json_rows(tally(rows)):
+                write(piece)
+            write("\n")
+        else:
+            if fmt == "csv":
+                click.echo(",".join(columns))
+                line = lambda r: ",".join(_cell(r[k]) for k in columns)
+            for r in tally(rows):
+                click.echo(line(r))
     if not ok:
         sys.exit(1)
 
@@ -172,11 +201,12 @@ def _seifert_only(path):
 @format_option("csv")
 def meta_enum_cmd(path, fmt):
     """Enumerate the metabelian character classes of Seifert-matrix knots."""
-    rows = [
+    knots = _seifert_only(path)
+    rows = (
         {"name": K.name, "thetas": [ratio_str(x, c.D) for x in c.k], "order": c.order}
-        for K in _seifert_only(path)
+        for K in knots
         for c in metabelian.enumerate_metabelian(K)
-    ]
+    )
     _emit(
         fmt,
         rows,
@@ -195,12 +225,13 @@ def _class_line(r: dict) -> str:
 @format_option()
 def meta_verify_cmd(path, fmt):
     """Verify every enumerated class: relation, irreducibility, trace 0."""
-    rows = [
+    knots = _seifert_only(path)
+    rows = (
         metabelian.verify_class(K, c).to_dict()
-        for K in _seifert_only(path)
+        for K in knots
         for c in metabelian.enumerate_metabelian(K)
-    ]
-    _emit(fmt, rows, _class_line, ok=all(r["ok"] for r in rows))
+    )
+    _emit(fmt, rows, _class_line)
 
 
 @main.command("tb-riley")
@@ -272,7 +303,7 @@ def tb_crosscheck_cmd(p, q, fmt):
     """Three-way count: distinct Riley roots = (p-1)/2 = metabelian census."""
     K = TwoBridge(name=f"S({p},{q})", p=p, q=q)
     row = riley.cross_check_counts(K).to_dict()
-    _emit(fmt, row, _crosscheck_line, ok=row["ok"])
+    _emit(fmt, row, _crosscheck_line)
 
 
 def _apoly_lines(r: dict) -> str:
@@ -371,7 +402,7 @@ def sweep_cmd(p_max, negative_q, fmt):
         raise KnotDataError("p-max must be odd and >= 3")
     knots = all_two_bridge(p_max, include_negative_q=negative_q)
     rows = sorted(map(_sweep_row, knots), key=lambda r: (r["p"], r["q"]))
-    _emit(fmt, rows, _sweep_line, SWEEP_COLUMNS, ok=all(r["ok"] for r in rows))
+    _emit(fmt, rows, _sweep_line, SWEEP_COLUMNS)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ no floating point anywhere.
 from __future__ import annotations
 
 import math
+import operator
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +36,7 @@ def _iadd(a: tuple, b: tuple) -> tuple:
 
 
 def _ineg(a: tuple) -> tuple:
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def _ishift(a: tuple) -> tuple:

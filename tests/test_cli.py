@@ -130,6 +130,94 @@ class TestMeta:
         assert "enumerated 0" in res.stderr and "= 1" in res.stderr
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_failing_class_exits_1_after_every_row(self, runner, monkeypatch, fmt):
+        """A class that fails its checks is a row, not the end of the run:
+        every row is written, then the run exits 1."""
+        real = metabelian.verify_class
+
+        def failing_first(K, c):
+            rep = real(K, c)
+            return rep._replace(relation_ok=False) if K.name == "3_1" else rep
+
+        monkeypatch.setattr(metabelian, "verify_class", failing_first)
+        res = runner.invoke(main, ["meta-verify", "-i", SEIFERT, "-f", fmt])
+        assert res.exit_code == 1
+        assert res.stderr == ""
+        if fmt == "json":
+            rows = json.loads(res.stdout)
+            assert [(r["knot"], r["ok"]) for r in rows] == [
+                ("3_1", False),
+                ("4_1", True),
+                ("4_1", True),
+            ]
+        else:
+            assert res.stdout.count(": ok\n") == 2
+            assert res.stdout.startswith("3_1 (1/3, 2/3): FAIL")
+
+    def _first_knot_alone(self, runner, tmp_path, cmd, fmt):
+        """stdout of `cmd` on a file holding only the first knot of SEIFERT."""
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps(json.loads(Path(SEIFERT).read_text())[:1]))
+        res = runner.invoke(main, [cmd, "-i", str(first), "-f", fmt])
+        assert res.exit_code == 0
+        return res.stdout
+
+    @pytest.mark.parametrize(
+        "cmd, fmt",
+        [
+            ("meta-enum", "json"),
+            ("meta-enum", "csv"),
+            ("meta-enum", "table"),
+            ("meta-verify", "json"),
+            ("meta-verify", "table"),
+        ],
+    )
+    def test_rows_reach_stdout_before_next_knot(
+        self, runner, monkeypatch, tmp_path, cmd, fmt
+    ):
+        """The census streams: the first knot's rows are written before the
+        second knot is enumerated, with nothing of the report held back."""
+        alone = self._first_knot_alone(runner, tmp_path, cmd, fmt)
+        if fmt == "json":
+            alone = alone.removesuffix("\n]\n")
+        real = metabelian.enumerate_metabelian
+        seen = []
+
+        def recording(K):
+            sys.stdout.flush()
+            seen.append((K.name, sys.stdout.buffer.getvalue().decode()))
+            return real(K)
+
+        monkeypatch.setattr(metabelian, "enumerate_metabelian", recording)
+        res = runner.invoke(main, [cmd, "-i", SEIFERT, "-f", fmt])
+        assert res.exit_code == 0
+        assert [name for name, _ in seen] == ["3_1", "4_1"]
+        assert seen[1][1] == alone
+
+    @pytest.mark.parametrize("cmd", ["meta-enum", "meta-verify"])
+    def test_census_failure_after_rows_exits_1(
+        self, runner, monkeypatch, tmp_path, cmd
+    ):
+        """A count mismatch on the second knot exits 1 after the first
+        knot's rows went out: the JSON array stays unterminated."""
+        alone = self._first_knot_alone(runner, tmp_path, cmd, "json")
+        real = metabelian.torsion_solutions
+        calls = []
+
+        def short_on_second(W):
+            calls.append(W)
+            sols = real(W)
+            return sols if len(calls) == 1 else sols[:1] + sols[2:]
+
+        monkeypatch.setattr(metabelian, "torsion_solutions", short_on_second)
+        res = runner.invoke(main, [cmd, "-i", SEIFERT, "-f", "json"])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("verification failure: 4_1: enumerated 1 ")
+        assert res.stdout == alone.removesuffix("\n]\n")
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(res.stdout)
+
 
 class TestTwoBridge:
     def test_riley_section(self, runner):
@@ -188,6 +276,20 @@ class TestTwoBridge:
         res = runner.invoke(main, ["tb-crosscheck", "-p", "15", "-q", "11"])
         assert res.exit_code == 0
         assert "riley roots 7 = (p-1)/2 7 = metabelian 7 -> ok" in res.output
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_crosscheck_mismatch_exits_1(self, runner, monkeypatch, fmt):
+        real = cli.riley.cross_check_counts
+        monkeypatch.setattr(
+            cli.riley,
+            "cross_check_counts",
+            lambda K: real(K)._replace(metabelian_count=6),
+        )
+        res = runner.invoke(
+            main, ["tb-crosscheck", "-p", "15", "-q", "11", "-f", fmt]
+        )
+        assert res.exit_code == 1
+        assert "MISMATCH" in res.stdout or '"ok": false' in res.stdout
 
 
 class TestApolyAnalyze:
@@ -512,9 +614,12 @@ json_documents = st.recursive(
 
 class TestJsonWriter:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(json_documents)
-    def test_same_bytes_as_json_dumps(self, doc):
+    @given(json_documents, st.lists(json_documents, max_size=4))
+    def test_same_bytes_as_json_dumps(self, doc, rows):
         assert cli._json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        # the streamed list writer, fed a generator of 0, 1 or more rows
+        streamed = "".join(cli._json_rows(r for r in rows))
+        assert streamed == json.dumps(rows, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize(
         "doc",
