@@ -1,5 +1,8 @@
-"""Exact integer matrix algebra: determinants, Smith normal form with
-unimodular transforms, and the torsion solver for W*theta = 0 over Q/Z.
+"""Exact integer matrix algebra on one lattice kernel. A fraction-free
+Gauss-Jordan pass on [W | I] gives det W and adj W; Hermite bases mod
+D = |det W|, whose entries stay in [0, D) (Domich, Kannan and Trotter,
+Math. Oper. Res. 12, 1987), give the torsion solutions of W*theta = 0
+over Q/Z and the invariant factors of W.
 """
 
 from __future__ import annotations
@@ -11,6 +14,15 @@ from typing import NamedTuple
 
 class IntLinAlgError(ValueError):
     pass
+
+
+class LatticeIndexError(ArithmeticError):
+    """Hermite pivots of the torsion lattice that give `points` points, not
+    |det W| = D: a bug in the basis, never bad input."""
+
+    def __init__(self, points: int, D: int):
+        super().__init__(f"Hermite pivots give {points} points, expected |det W| = {D}")
+        self.points, self.D = points, D
 
 
 def _entry(x) -> int:
@@ -87,46 +99,36 @@ class IntMat(NamedTuple("IntMat", [("entries", tuple)])):
         return f"IntMat({self.tolists()})"
 
 
+def _gauss_jordan(a: list, n: int) -> int:
+    """det M for the rows `a` = [M | B], M the first n columns, by one
+    fraction-free (Bareiss) Gauss-Jordan pass in place, 0 if M is singular;
+    B ends as +-adj(M) B. Every division is exact. Columns <= k go stale."""
+    sign = prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        piv, tail = a[k][k], a[k][k + 1 :]
+        for i, ri in enumerate(a):
+            if i != k:
+                f = ri[k]
+                ri[k + 1 :] = [(piv * x - f * y) // prev for x, y in zip(ri[k + 1 :], tail)]
+        prev = piv
+    return sign * prev
+
+
 def det(M: IntMat) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant."""
     if not M.is_square():
         raise IntLinAlgError("determinant of a non-square matrix")
-    n = M.rows
-    a = M.tolists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-class SnfResult(NamedTuple):
-    """U @ W @ Vt = D with U, Vt unimodular and D = diag(d_1,...,d_n),
-    d_i >= 0 and d_i | d_{i+1}."""
-
-    U: IntMat
-    D: IntMat
-    Vt: IntMat
-
-    @property
-    def diag(self) -> tuple:
-        return tuple(row[i] for i, row in enumerate(self.D.entries))
+    return _gauss_jordan(M.tolists(), M.rows)
 
 
 def _xgcd(a: int, b: int) -> tuple:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b)."""
+    """(g, s, t) with s*a + t*b = g = gcd(a, b); (b, 0, 1) if b divides a."""
     s0, s1, t0, t1 = 1, 0, 0, 1
     while b:
         q, r = divmod(a, b)
@@ -136,127 +138,88 @@ def _xgcd(a: int, b: int) -> tuple:
     return a, s0, t0
 
 
-def smith_normal_form(W: IntMat) -> SnfResult:
-    """Pivot on a smallest nonzero entry, then clear its row and column.
-    An entry the pivot divides is cleared by a subtraction; any other by a
-    2x2 unimodular step built from the extended gcd, which replaces the
-    pivot by a proper divisor, at most half its size. So each pivot takes
-    at most log2 |pivot| such steps."""
-    if not W.is_square():
-        raise IntLinAlgError("Smith normal form of a non-square matrix")
-    n = W.rows
-    a = W.tolists()
-    u = IntMat.identity(n).tolists()
-    v = IntMat.identity(n).tolists()
+def _hermite_mod(gens, D: int) -> list:
+    """The reduced Hermite basis b_0, ..., b_{n-1} of the lattice spanned by
+    the vectors `gens` and D*Z^n: b_i is 0 before coordinate i, its pivot
+    h_i = b_i[i] divides D, and b_j[i] lies in [0, h_i) for j < i. Each
+    generator folds into the pivot vector b_i by a unimodular extended-gcd
+    step that leaves it 0 at i, and one that the pivot divides leaves b_i
+    as it is. Other entries are taken mod D, as D*e_j is in the lattice."""
+    gens = [[x % D for x in g] for g in gens]
+    basis = []
+    for i in range(len(gens[0])):
+        b = [D * (j == i) for j in range(len(gens[0]))]
+        for g in gens:
+            x, p = g[i], b[i]
+            if x:
+                h, t, s = _xgcd(x, p)
+                u, w = p // h, x // h
+                pairs = list(zip(b, g))
+                b = [(s * y + t * z) % D for y, z in pairs]
+                g[:] = [(u * z - w * y) % D for y, z in pairs]
+                b[i] = h
+        basis.append(b)
+    for j, bj in enumerate(basis):
+        for b in basis[:j]:
+            q = b[j] // bj[j]
+            if q:
+                b[j:] = [(y - q * z) % D for y, z in zip(b[j:], bj[j:])]
+    return basis
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def mix_rows(i, j, s, t, x, y):
-        """row i <- s*row i + t*row j, row j <- x*row i + y*row j."""
-        for m in (a, u):
-            ri, rj = m[i], m[j]
-            m[i] = [s * p + t * q for p, q in zip(ri, rj)]
-            m[j] = [x * p + y * q for p, q in zip(ri, rj)]
-
-    def mix_cols(i, j, s, t, x, y):
-        """col i <- s*col i + t*col j, col j <- x*col i + y*col j."""
-        for m in (a, v):
-            for r in m:
-                p, q = r[i], r[j]
-                r[i], r[j] = s * p + t * q, x * p + y * q
-
-    def clear(t, entry, mix):
-        """Zero entry(i) for i > t (the column below the pivot or the row
-        right of it) with mix_rows or mix_cols. True if the pivot changed."""
-        changed = False
-        for i in range(t + 1, n):
-            p, x = a[t][t], entry(i)
-            if x % p == 0:
-                if x:
-                    mix(t, i, 1, 0, -(x // p), 1)
-            else:
-                g, s, r = _xgcd(p, x)
-                mix(t, i, s, r, -(x // g), p // g)
-                changed = True
-        return changed
-
-    for t in range(n):
-        # a smallest nonzero entry of the trailing block becomes the pivot
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                x = abs(a[i][j])
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-        if best is None:
-            break
-        _x, pi, pj = best
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-
-        while True:
-            # clearing the column can refill the row and vice versa, but
-            # only by shrinking the pivot, so this ends
-            while clear(t, lambda i: a[i][t], mix_rows) | clear(
-                t, lambda j: a[t][j], mix_cols
-            ):
-                pass
-            # the pivot must divide the whole trailing block; adding the
-            # row of an entry it does not divide puts that entry in row t
-            culprit = next(
-                (
-                    i
-                    for i in range(t + 1, n)
-                    if any(a[i][j] % a[t][t] for j in range(t + 1, n))
-                ),
-                None,
-            )
-            if culprit is None:
-                break
-            mix_rows(t, culprit, 1, 1, 0, 1)
-
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-
-    return SnfResult(IntMat(u), IntMat(a), IntMat(v))
+def smith_normal_form(W: IntMat) -> tuple:
+    """The invariant factors d_1 | ... | d_n of a nonsingular W: Z^n / W Z^n
+    is the sum of the Z/d_i. W Z^n holds D*Z^n. Hermite bases mod D of it
+    and of the transpose's lattice alternate until diagonal (Kannan and
+    Bachem, SIAM J. Comput. 8, 1979): the first pivot with a row not clean
+    shrinks to a proper divisor at each turn, and a clean one stays clean.
+    gcd/lcm steps then order the diagonal."""
+    D = abs(det(W))
+    if not D:
+        raise IntLinAlgError("singular matrix: det W = 0")
+    basis = _hermite_mod(list(zip(*W.entries)), D)
+    while any(any(b[i + 1 :]) for i, b in enumerate(basis)):
+        basis = _hermite_mod(list(zip(*basis)), D)
+    f = [b[i] for i, b in enumerate(basis)]
+    for i in range(len(f)):
+        for j in range(i + 1, len(f)):
+            g = math.gcd(f[i], f[j])
+            f[i], f[j] = g, f[i] * f[j] // g
+    return tuple(f)
 
 
 def torsion_solutions(W: IntMat) -> list:
     """All theta in (Q/Z)^n with W @ theta = 0 mod 1, as integer vectors k
-    with theta = k / D, D = |det W|, each entry in [0, D); sorted, which is
-    the lexicographic order of the thetas.
-
-    Diagonalize U W Vt = D; with psi = Vt^{-1} theta the system is
-    D psi = 0 mod 1, so psi_j runs over m/d_j and theta = Vt psi mod 1.
-    Over the common denominator D each column j with d_j > 1 is the step
-    Vt[:, j] * (D / d_j) mod D, and the solutions are the sums of multiples
-    of the steps. There are exactly |det W| of them. They are built one
-    coordinate at a time, as flat lists over the same combinations of
-    multiples, and zipped into tuples once.
-    """
+    with theta = k / D, D = |det W|, each entry in [0, D), in lex order,
+    which is the order of the thetas. The k form the lattice adj(W) Z^n,
+    which holds D*Z^n, so its Hermite basis mod D has prod D/h_i = D points
+    in [0, D)^n; that is checked first. Given the coordinates before it,
+    coordinate i runs upward over one residue class mod h_i, so the loops
+    list the points in lex order. They run one coordinate at a time, as
+    flat lists over all points so far, zipped once."""
     if not W.is_square():
         raise IntLinAlgError("torsion solver needs a square matrix")
-    snf = smith_normal_form(W)
-    diag = snf.diag
-    if any(d == 0 for d in diag):
+    n = W.rows
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(W.entries)]
+    D = abs(_gauss_jordan(a, n))
+    if not D:
         raise IntLinAlgError("singular matrix: det W = 0")
-    D = math.prod(diag)
-    cols = [[0] for _ in range(W.rows)]
-    for j, d in enumerate(diag):
-        if d == 1:
-            continue
-        for col, row in zip(cols, snf.Vt.entries):
-            s = row[j] * (D // d) % D
-            multiples = range(0, d * s, s) if s else (0,) * d
-            col[:] = [(x + y) % D for x in col for y in multiples]
-    return sorted(zip(*cols))
+    basis = _hermite_mod(list(zip(*(row[n:] for row in a))), D)
+    points = math.prod(D // b[i] for i, b in enumerate(basis))
+    if points != D:
+        raise LatticeIndexError(points, D)
+    cols = [[0] for _ in basis]
+    for i, b in enumerate(basis):
+        count = D // b[i]
+        if count > 1:
+            qs = [x // b[i] for x in cols[i]]
+            for j, y in enumerate(b):
+                if y:
+                    cols[j] = [
+                        z % D
+                        for x, q in zip(cols[j], qs)
+                        for z in range(x - q * y, x + (count - q) * y, y)
+                    ]
+                else:
+                    cols[j] = [x for x in cols[j] for _ in range(count)]
+    return list(zip(*cols))

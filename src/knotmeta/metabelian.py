@@ -14,7 +14,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .exactalg import ratio_str
-from .intlinalg import torsion_solutions
+from .intlinalg import LatticeIndexError, torsion_solutions
 from .knotdata import KnotDataError, SeifertKnot, determinant_of_knot
 
 
@@ -47,17 +47,24 @@ class MetabelianClass(NamedTuple("MetabelianClass", [("k", tuple), ("D", int)]))
 
 
 class CensusError(RuntimeError):
-    """The enumeration disagrees with the census count (|det| - 1)/2: a bug
-    in the torsion solver or the class selection, never bad input."""
+    """The enumeration disagrees with a count it must meet: a bug in the
+    torsion solver or the class selection, never bad input. At the stage
+    "class count" that is the census count (|det| - 1)/2; at "torsion
+    lattice" it is |det W|, the points the Hermite pivots must give."""
 
-    def __init__(self, knot: str, enumerated: int, expected: int):
-        super().__init__(
-            f"{knot}: enumerated {enumerated} metabelian classes, "
+    def __init__(self, knot: str, enumerated: int, expected: int, stage="class count"):
+        detail = (
+            f"enumerated {enumerated} metabelian classes, "
             f"expected (|det| - 1)/2 = {expected}"
+            if stage == "class count"
+            else f"{stage}: Hermite pivots give {enumerated} points, "
+            f"expected |det W| = {expected}"
         )
+        super().__init__(f"{knot}: {detail}")
         self.knot = knot
         self.enumerated = enumerated
         self.expected = expected
+        self.stage = stage
 
 
 def _census_size(d: int) -> int:
@@ -98,17 +105,25 @@ def enumerate_metabelian(K: SeifertKnot) -> list:
     """All metabelian classes of K, lexicographically sorted.
 
     Always returns exactly (|det(V+V^T)| - 1)/2 classes, else raises
-    CensusError. The torsion solutions come as integer vectors k over
-    D = |det|. D is odd, so of k and -k mod D exactly the one whose first
-    nonzero entry is <= D // 2 is the lexicographic minimum; that keeps
-    the canonical member of each pair theta ~ -theta and drops theta = 0.
+    CensusError. The torsion solutions come in lex order as integer
+    vectors k over D = |det|, from a lattice whose Hermite pivots are
+    checked to give D points. D is odd, so of k and -k mod D exactly the
+    one whose first nonzero entry is <= D // 2 is the lexicographic
+    minimum; that keeps the canonical member of each pair theta ~ -theta
+    and drops theta = 0. Every k kept is nonzero with entries in [0, D),
+    so the classes are built without MetabelianClass's checks.
     """
     D = determinant_of_knot(K)
     expected = _census_size(D)
     half = D // 2
+    try:
+        solutions = torsion_solutions(K.symmetrized())
+    except LatticeIndexError as exc:
+        raise CensusError(K.name, exc.points, exc.D, "torsion lattice") from exc
+    new = tuple.__new__
     out = [
-        MetabelianClass(k, D)
-        for k in torsion_solutions(K.symmetrized())
+        new(MetabelianClass, (k, D))
+        for k in solutions
         if next(filter(None, k), D) <= half
     ]
     if len(out) != expected:

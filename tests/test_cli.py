@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotmeta import cli, metabelian
+from knotmeta import cli, intlinalg, metabelian
 from knotmeta.cli import main
 from knotmeta.knotdata import fixture_path
 from knotmeta.riley import LongitudeReport, RileyError
@@ -117,6 +117,39 @@ class TestMeta:
         )
         assert res.exit_code == 0
         assert res.stdout == (recorded / f"{cmd}.{ext}").read_text()
+
+    @pytest.mark.parametrize(
+        "cmd, fmt, recording",
+        [
+            ("meta-enum", "json", "dense-meta-enum.json"),
+            ("meta-verify", "table", "dense-meta-verify.txt"),
+        ],
+    )
+    def test_dense_output_matches_recording(self, runner, cmd, fmt, recording):
+        # dense.json: the dense genus-3 det-483 matrix DENSE_G3 and a genus-6
+        # det-1001 knot mixed as U^T V U; recorded before the census ran on
+        # Hermite bases mod D
+        recorded = RECORDED / "census"
+        res = runner.invoke(main, [cmd, "-i", str(recorded / "dense.json"), "-f", fmt])
+        assert res.exit_code == 0
+        assert res.stdout == (recorded / recording).read_text()
+
+    @pytest.mark.parametrize("cmd", ["meta-enum", "meta-verify"])
+    def test_lattice_index_error_exits_1(self, runner, monkeypatch, cmd):
+        """Hermite pivots of the wrong index are a bug, not bad input: exit 1
+        naming the knot and the stage, before any row."""
+        from test_intlinalg import dropping_a_pivot
+
+        monkeypatch.setattr(
+            intlinalg, "_hermite_mod", dropping_a_pivot(intlinalg._hermite_mod)
+        )
+        res = runner.invoke(main, [cmd, "-i", SEIFERT])
+        assert res.exit_code == 1
+        assert res.stderr == (
+            "verification failure: 3_1: torsion lattice: "
+            "Hermite pivots give 1 points, expected |det W| = 3\n"
+        )
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("cmd", ["meta-enum", "meta-verify"])
     def test_census_failure_exits_1(self, runner, monkeypatch, cmd):

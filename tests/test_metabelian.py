@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotmeta import metabelian
+from knotmeta import intlinalg, metabelian
 from knotmeta.exactalg import ratio_str
 from knotmeta.intlinalg import IntMat, det
 from knotmeta.knotdata import KnotDataError, SeifertKnot, TwoBridge
@@ -114,6 +114,45 @@ class TestEnumerate:
         assert str(err) == (
             "4_1: enumerated 1 metabelian classes, expected (|det| - 1)/2 = 2"
         )
+
+    def test_lattice_index_error_raises_census_error(self, monkeypatch):
+        from test_intlinalg import dropping_a_pivot
+
+        monkeypatch.setattr(
+            intlinalg, "_hermite_mod", dropping_a_pivot(intlinalg._hermite_mod)
+        )
+        with pytest.raises(CensusError) as info:
+            enumerate_metabelian(FIGURE8)
+        err = info.value
+        assert (err.knot, err.stage, err.enumerated, err.expected) == (
+            "4_1",
+            "torsion lattice",
+            1,
+            5,
+        )
+        assert str(err) == (
+            "4_1: torsion lattice: Hermite pivots give 1 points, expected |det W| = 5"
+        )
+
+    def test_classes_skip_the_constructor_checks(self, monkeypatch):
+        """The lattice already gives nonzero k in [0, D), so enumeration
+        never runs MetabelianClass's checks; the constructor keeps them."""
+        K = random_seifert(random.Random(4), 2)
+        expected = enumerate_metabelian(K)
+
+        def refuse(cls, k, D):
+            raise AssertionError("MetabelianClass.__new__ called")
+
+        with monkeypatch.context() as m:
+            m.setattr(MetabelianClass, "__new__", refuse)
+            classes = enumerate_metabelian(K)
+            with pytest.raises(AssertionError):
+                MetabelianClass((1, 2), 3)
+        assert classes == expected
+        assert all(type(c) is MetabelianClass for c in classes)
+        for k in ((0, 0), (3, 0), (-1, 1)):
+            with pytest.raises(ValueError):
+                MetabelianClass(k, 3)
 
     def test_canonicalization_idempotent(self):
         rng = random.Random(9)
