@@ -2,13 +2,13 @@
 deterministic reports.
 
 Each command builds its JSON rows once, as one dict or an iterable of
-dicts; `meta-enum` and `meta-verify` feed a generator, knot by knot, so
-no report is ever held whole. `_emit` writes every row as it comes, as
-JSON, table or CSV. Exit codes: 0 success, 1 verification failure, 2
-input error; `KnotmetaGroup` maps the package's errors to them in one
-place. Input is validated in full before the first byte goes out. JSON
-output is bit-stable (sorted keys, rationals rendered as "num/den"
-strings).
+dicts; `meta-enum`, `meta-verify` and `sweep` feed a generator, knot by
+knot, so no report is ever held whole. `_emit` writes every row as it
+comes, as JSON, table or CSV. Exit codes: 0 success, 1 verification
+failure, 2 input error; `KnotmetaGroup` maps the package's errors to
+them in one place. Input is validated in full before the first byte goes
+out. JSON output is bit-stable (sorted keys, rationals rendered as
+"num/den" strings).
 """
 
 from __future__ import annotations
@@ -244,8 +244,8 @@ def tb_riley_cmd(p, q, roots, fmt):
     sec = riley.section_at_minus_one(K)
     row = {
         "name": K.name,
-        "p": sec.p,
-        "q": sec.q,
+        "p": p,
+        "q": q,
         "phi": poly_str(sec.phi),
         "deg_phi": sec.roots_count,
         "deg_w11": len(sec.w11) - 1,
@@ -273,8 +273,8 @@ def tb_verify_cmd(p, q, general_t, fmt):
     """Verify the relator and longitude identities of S(p,q) mod phi(-1,u)."""
     K = TwoBridge(name=f"S({p},{q})", p=p, q=q)
     sec = riley.section_at_minus_one(K)
-    rel = riley.verify_relator_mod_phi(K, sec)
-    lon = riley.verify_longitude_mod_phi(K, sec)
+    rel = riley.verify_relator_mod_phi(sec)
+    lon = riley.verify_longitude_mod_phi(sec)
     row = {
         "name": K.name,
         "relator_ok": rel.ok,
@@ -302,7 +302,8 @@ def _crosscheck_line(r: dict) -> str:
 def tb_crosscheck_cmd(p, q, fmt):
     """Three-way count: distinct Riley roots = (p-1)/2 = metabelian census."""
     K = TwoBridge(name=f"S({p},{q})", p=p, q=q)
-    row = riley.cross_check_counts(K).to_dict()
+    sec = riley.section_at_minus_one(K)
+    row = riley.cross_check_counts(sec).to_dict()
     _emit(fmt, row, _crosscheck_line)
 
 
@@ -363,9 +364,9 @@ def _sweep_row(K: TwoBridge) -> dict:
     row = {"name": K.name, "p": K.p, "q": K.q, "det": K.p}
     try:
         sec = riley.section_at_minus_one(K)
-        cross = riley.cross_check_counts(K, sec)
-        rel = riley.verify_relator_mod_phi(K, sec)
-        lon = riley.verify_longitude_mod_phi(K, sec)
+        cross = riley.cross_check_counts(sec)
+        rel = riley.verify_relator_mod_phi(sec)
+        lon = riley.verify_longitude_mod_phi(sec)
     except riley.RileyError as exc:
         click.echo(f"verification failure: {exc}", err=True)
         return {k: row.get(k) for k in SWEEP_COLUMNS} | {
@@ -401,8 +402,7 @@ def sweep_cmd(p_max, negative_q, fmt):
     if p_max < 3 or p_max % 2 == 0:
         raise KnotDataError("p-max must be odd and >= 3")
     knots = all_two_bridge(p_max, include_negative_q=negative_q)
-    rows = sorted(map(_sweep_row, knots), key=lambda r: (r["p"], r["q"]))
-    _emit(fmt, rows, _sweep_line, SWEEP_COLUMNS)
+    _emit(fmt, map(_sweep_row, knots), _sweep_line, SWEEP_COLUMNS)
 
 
 if __name__ == "__main__":

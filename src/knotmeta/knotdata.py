@@ -250,14 +250,12 @@ def builtin_apolys() -> list:
 
 
 def all_two_bridge(p_max: int, include_negative_q: bool = False) -> list:
-    """Every valid S(p,q) with 3 <= p <= p_max, q odd coprime, 0 < q < p
-    (optionally also negative q)."""
-    out = []
-    for p in range(3, p_max + 1, 2):
-        for q in range(1, p, 2):
-            if math.gcd(p, q) != 1:
-                continue
-            out.append(TwoBridge(name=f"S({p},{q})", p=p, q=q))
-            if include_negative_q:
-                out.append(TwoBridge(name=f"S({p},{-q})", p=p, q=-q))
-    return out
+    """Every valid S(p,q) with 3 <= p <= p_max and q odd and coprime to p,
+    in (p, q) order: q runs from 1 to p - 2, or from -(p - 2) to p - 2 with
+    `include_negative_q`."""
+    return [
+        TwoBridge(name=f"S({p},{q})", p=p, q=q)
+        for p in range(3, p_max + 1, 2)
+        for q in range(2 - p if include_negative_q else 1, p, 2)
+        if math.gcd(p, q) == 1
+    ]

@@ -21,6 +21,11 @@ certificate per phi; every per-knot check still runs for each knot. M_w
 at t = -1 is the independent cross-check of the reduced route. On both
 routes a 2x2 matrix is the tuple (a, b, c, d), folded row by row with
 shift/add steps on exactalg's integer tuples.
+
+A RileySection carries its knot, and the three t = -1 checks (relator,
+longitude, count cross-check) take the section as their one input, so
+each knot's section is computed once and no check can meet another
+knot's section.
 """
 
 from __future__ import annotations
@@ -171,8 +176,7 @@ def _power_x1x2_at_i(n: int):
 # The t = -1 section
 
 class RileySection(NamedTuple):
-    p: int
-    q: int
+    knot: TwoBridge
     phi: tuple       # phi(-1,u), content-free, positive leading coefficient
     w11: tuple       # w11(-1,u)
     w12: tuple       # w12(-1,u)
@@ -227,8 +231,7 @@ def section_at_minus_one(K: TwoBridge) -> RileySection:
         )
 
     return RileySection(
-        p=K.p,
-        q=K.q,
+        knot=K,
         phi=phi,
         w11=w11,
         w12=w12,
@@ -236,17 +239,6 @@ def section_at_minus_one(K: TwoBridge) -> RileySection:
         squarefree=squarefree,
         relator=relator,
     )
-
-
-def _section_for(K: TwoBridge, section: RileySection | None) -> RileySection:
-    """The given section of K, or a freshly computed one."""
-    if section is None:
-        return section_at_minus_one(K)
-    if (section.p, section.q) != (K.p, K.q):
-        raise ValueError(
-            f"section of S({section.p},{section.q}) passed for {K.name}"
-        )
-    return section
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +259,9 @@ class RelatorReport(NamedTuple):
         }
 
 
-def verify_relator_mod_phi(
-    K: TwoBridge, section: RileySection | None = None
-) -> RelatorReport:
+def verify_relator_mod_phi(section: RileySection) -> RelatorReport:
     """Check rho(w) rho(x1) = rho(x2) rho(w) entry-wise in the residue
-    ring mod phi(-1,u), on the relator holonomy the section has built.
-    `section` is K's section if already computed."""
-    section = _section_for(K, section)
+    ring mod phi(-1,u), on the relator holonomy the section has built."""
     A, B, C, D = section.relator
     # rho(w)rho(x1) - rho(x2)rho(w) = i^{k+1} (P N1 - N2 P)
     lhs = (
@@ -291,7 +279,9 @@ def verify_relator_mod_phi(
     residues = tuple(
         _irem_monic(_isub(l, r), section.phi) for l, r in zip(lhs, rhs)
     )
-    return RelatorReport(knot=K.name, ok=not any(residues), residues=residues)
+    return RelatorReport(
+        knot=section.knot.name, ok=not any(residues), residues=residues
+    )
 
 
 class LongitudeReport(NamedTuple):
@@ -304,13 +294,11 @@ class LongitudeReport(NamedTuple):
         return self.result == "id"
 
 
-def verify_longitude_mod_phi(
-    K: TwoBridge, section: RileySection | None = None
-) -> LongitudeReport:
+def verify_longitude_mod_phi(section: RileySection) -> LongitudeReport:
     """Evaluate the longitude holonomy at t = -1 in the residue ring and
     report whether it is +id (the expected value, giving trace 2), -id,
-    or neither. `section` is K's section if already computed."""
-    phi = _section_for(K, section).phi
+    or neither."""
+    K, phi = section.knot, section.phi
     k, (A, B, C, D) = _holonomy_at_i(longitude_word(K))
     if k % 2 != 0:
         return LongitudeReport(knot=K.name, result="neither", trace_is_two=False)
@@ -343,12 +331,9 @@ class CrossCheckReport(NamedTuple):
         return {**self._asdict(), "ok": self.ok}
 
 
-def cross_check_counts(
-    K: TwoBridge, section: RileySection | None = None
-) -> CrossCheckReport:
-    """Distinct roots of phi(-1,u) vs (p-1)/2 vs the metabelian census.
-    `section` is K's section if already computed."""
-    section = _section_for(K, section)
+def cross_check_counts(section: RileySection) -> CrossCheckReport:
+    """Distinct roots of phi(-1,u) vs (p-1)/2 vs the metabelian census."""
+    K = section.knot
     # squarefree, so distinct roots = degree
     return CrossCheckReport(
         knot=K.name,

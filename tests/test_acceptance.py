@@ -151,7 +151,7 @@ def test_riley_degree_claims_p_le_45():
 def test_three_way_count_agreement_p_le_45():
     t0 = time.monotonic()
     for K in all_two_bridge(45, include_negative_q=True):
-        rep = cross_check_counts(K)
+        rep = cross_check_counts(section_at_minus_one(K))
         assert rep.ok, K.name
         assert rep.half_p_minus_one == (K.p - 1) // 2
     _report("three-way count agreement, p <= 45", time.monotonic() - t0, 30)
@@ -160,9 +160,10 @@ def test_three_way_count_agreement_p_le_45():
 def test_relator_and_longitude_identities_p_le_25():
     t0 = time.monotonic()
     for K in all_two_bridge(25, include_negative_q=True):
-        rel = verify_relator_mod_phi(K)
+        sec = section_at_minus_one(K)
+        rel = verify_relator_mod_phi(sec)
         assert rel.ok, (K.name, rel.to_dict()["residues"])
-        lon = verify_longitude_mod_phi(K)
+        lon = verify_longitude_mod_phi(sec)
         assert lon.result == "id", (K.name, lon.result)
         assert lon.trace_is_two, K.name
     _report("relator and longitude identities, p <= 25", time.monotonic() - t0, 60)

@@ -285,12 +285,17 @@ class TestTwoBridge:
         assert "relator_general_t_ok: True" in res.output
 
     def test_verify_failure_exits_1(self, runner, monkeypatch):
-        def fake(K, section=None):
-            return LongitudeReport(knot=K.name, result="neither", trace_is_two=False)
+        def fake(section):
+            return LongitudeReport(
+                knot=section.knot.name, result="neither", trace_is_two=False
+            )
 
         monkeypatch.setattr(cli.riley, "verify_longitude_mod_phi", fake)
         res = runner.invoke(main, ["tb-verify", "-p", "5", "-q", "3"])
         assert res.exit_code == 1
+        # a crash would exit 1 too: the report must have been written
+        assert isinstance(res.exception, SystemExit)
+        assert "longitude: neither" in res.stdout
 
     def test_verify_computes_one_section(self, runner, monkeypatch):
         real = cli.riley.section_at_minus_one
@@ -305,6 +310,19 @@ class TestTwoBridge:
         assert res.exit_code == 0
         assert calls == ["S(15,11)"]
 
+    def test_crosscheck_computes_one_section(self, runner, monkeypatch):
+        real = cli.riley.section_at_minus_one
+        calls = []
+
+        def counting(K):
+            calls.append(K.name)
+            return real(K)
+
+        monkeypatch.setattr(cli.riley, "section_at_minus_one", counting)
+        res = runner.invoke(main, ["tb-crosscheck", "-p", "15", "-q", "11"])
+        assert res.exit_code == 0
+        assert calls == ["S(15,11)"]
+
     def test_crosscheck(self, runner):
         res = runner.invoke(main, ["tb-crosscheck", "-p", "15", "-q", "11"])
         assert res.exit_code == 0
@@ -316,7 +334,7 @@ class TestTwoBridge:
         monkeypatch.setattr(
             cli.riley,
             "cross_check_counts",
-            lambda K: real(K)._replace(metabelian_count=6),
+            lambda sec: real(sec)._replace(metabelian_count=6),
         )
         res = runner.invoke(
             main, ["tb-crosscheck", "-p", "15", "-q", "11", "-f", fmt]
@@ -466,6 +484,30 @@ class TestSweep:
         assert res.exit_code == 0
         expected = RECORDED / "sweep" / recording
         assert res.stdout == expected.read_text()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_rows_reach_stdout_before_next_knot(self, runner, monkeypatch, fmt):
+        """The sweep streams in (p, q) order: when a knot's section is
+        computed, the rows of every earlier knot are already written."""
+        argv = ["sweep", "--negative-q", "-f", fmt, "--p-max"]
+        alone = runner.invoke(main, [*argv, "3"]).stdout
+        if fmt == "json":
+            alone = alone.removesuffix("\n]\n")
+        real = cli.riley.section_at_minus_one
+        seen = []
+
+        def recording(K):
+            sys.stdout.flush()
+            seen.append((K.name, sys.stdout.buffer.getvalue().decode()))
+            return real(K)
+
+        monkeypatch.setattr(cli.riley, "section_at_minus_one", recording)
+        res = runner.invoke(main, [*argv, "5"])
+        assert res.exit_code == 0
+        assert [name for name, _ in seen] == [
+            "S(3,-1)", "S(3,1)", "S(5,-3)", "S(5,-1)", "S(5,1)", "S(5,3)",
+        ]
+        assert seen[2][1] == alone
 
     def test_negative_q_doubles_rows(self, runner):
         pos = runner.invoke(main, ["sweep", "--p-max", "9", "-f", "csv"])

@@ -142,6 +142,23 @@ class TestIngest:
         assert len(knots) == len(all_two_bridge(45))
         assert all(isinstance(K, TwoBridge) and K.p <= 45 for K in knots)
 
+    @pytest.mark.parametrize("p_max", [3, 9, 45])
+    def test_all_two_bridge_in_pq_order(self, p_max):
+        # every odd q with 0 < |q| < p coprime to p, each S(p,q) once
+        expected = {
+            (p, sign * q)
+            for p in range(3, p_max + 1, 2)
+            for q in range(1, p, 2)
+            if math.gcd(p, q) == 1
+            for sign in (1, -1)
+        }
+        for negative_q in (False, True):
+            knots = all_two_bridge(p_max, include_negative_q=negative_q)
+            pairs = [(K.p, K.q) for K in knots]
+            assert pairs == sorted(set(pairs))
+            assert set(pairs) == {pq for pq in expected if negative_q or pq[1] > 0}
+            assert all(K.name == f"S({K.p},{K.q})" for K in knots)
+
     def test_round_trip(self, tmp_path):
         src = builtin_seifert_knots() + load_knots(fixture_path("two_bridge_p45.json"))
         path = tmp_path / "knots.json"

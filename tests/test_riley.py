@@ -141,8 +141,7 @@ class TestReducedHolonomy:
 
     def test_one_alternating_product_per_p(self):
         for K in self.KNOTS:
-            section_at_minus_one(K)
-            verify_longitude_mod_phi(K)
+            verify_longitude_mod_phi(section_at_minus_one(K))
         # one relator product per p, and the empty word
         p_values = {K.p for K in self.KNOTS}
         assert riley._alternating_at_i.cache_info().currsize == len(p_values) + 1
@@ -281,23 +280,23 @@ class TestInternalHelpers:
 
 class TestVerifyOps:
     def test_relator_s53(self):
-        report = verify_relator_mod_phi(tb(5, 3))
+        report = verify_relator_mod_phi(section_at_minus_one(tb(5, 3)))
         assert report.ok
         assert report.residues == ((), (), (), ())
 
     def test_relator_sweep(self):
         for K in all_two_bridge(17, include_negative_q=True):
-            assert verify_relator_mod_phi(K).ok, K.name
+            assert verify_relator_mod_phi(section_at_minus_one(K)).ok, K.name
 
     def test_longitude_s53(self):
-        report = verify_longitude_mod_phi(tb(5, 3))
+        report = verify_longitude_mod_phi(section_at_minus_one(tb(5, 3)))
         assert report.result == "id"
         assert report.trace_is_two
         assert report.ok
 
     def test_longitude_sweep(self):
         for K in all_two_bridge(15, include_negative_q=True):
-            report = verify_longitude_mod_phi(K)
+            report = verify_longitude_mod_phi(section_at_minus_one(K))
             assert report.result == "id", K.name
             assert report.trace_is_two
 
@@ -316,7 +315,7 @@ class TestVerifyOps:
         assert any(report.residues)
 
     def test_report_serialization(self):
-        d = verify_relator_mod_phi(tb(7, 3)).to_dict()
+        d = verify_relator_mod_phi(section_at_minus_one(tb(7, 3))).to_dict()
         assert d["ok"] is True
         assert d["residues"] == ["0"] * 4
 
@@ -327,21 +326,10 @@ class TestVerifyOps:
             "((2)*t + (-1))*u^2 + ((1)*t^2)", "0", "0", "0",
         ]
 
-    def test_shared_section_gives_the_same_reports(self):
-        for K in all_two_bridge(11, include_negative_q=True):
-            sec = section_at_minus_one(K)
-            assert verify_relator_mod_phi(K, sec) == verify_relator_mod_phi(K)
-            assert verify_longitude_mod_phi(K, sec) == verify_longitude_mod_phi(K)
-            assert cross_check_counts(K, sec) == cross_check_counts(K)
-
-    def test_section_of_another_knot_refused(self):
-        sec = section_at_minus_one(tb(7, 3))
-        with pytest.raises(ValueError):
-            verify_relator_mod_phi(tb(7, 1), sec)
-
     def test_section_carries_integer_phi(self):
         K = tb(5, 3)
         sec = section_at_minus_one(K)
+        assert sec.knot is K
         assert sec.phi == (5, 5, 1)
         assert sec.relator == _holonomy_at_i(relator_word(K))[1]
 
@@ -356,12 +344,12 @@ class TestVerifyOps:
             return real(w)
 
         monkeypatch.setattr(riley, "_holonomy_at_i", counting)
-        assert verify_relator_mod_phi(K, sec).ok
+        assert verify_relator_mod_phi(sec).ok
         assert walks == []
         # a wrong holonomy in the section must show as a residue
         A, B, C, D = sec.relator
         bad = sec._replace(relator=(A, B, _iadd(C, (1,)), D))
-        assert not verify_relator_mod_phi(K, bad).ok
+        assert not verify_relator_mod_phi(bad).ok
 
 
 class TestSquarefreeCertificate:
@@ -408,7 +396,7 @@ class TestSquarefreeCertificate:
 
 class TestCrossCheck:
     def test_s15_11(self):
-        report = cross_check_counts(tb(15, 11))
+        report = cross_check_counts(section_at_minus_one(tb(15, 11)))
         assert report.riley_root_count == 7
         assert report.half_p_minus_one == 7
         assert report.metabelian_count == 7
@@ -416,7 +404,7 @@ class TestCrossCheck:
 
     def test_sweep(self):
         for K in all_two_bridge(21):
-            assert cross_check_counts(K).ok, K.name
+            assert cross_check_counts(section_at_minus_one(K)).ok, K.name
 
 
 class TestApproxRealRoots:

@@ -85,8 +85,8 @@ def all_records() -> list:
     report = analyze(A, det=3)
     return [
         TREFOIL, K, relator_word(K), c, verify_class(TREFOIL, c),
-        sec, verify_relator_mod_phi(K, sec),
-        verify_longitude_mod_phi(K, sec), cross_check_counts(K, sec),
+        sec, verify_relator_mod_phi(sec),
+        verify_longitude_mod_phi(sec), cross_check_counts(sec),
         A, report, report.profile, report.bound, report.probe, report.criteria[0],
         TREFOIL.V,
     ]
