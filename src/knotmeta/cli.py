@@ -90,12 +90,83 @@ def _json(o, indent="") -> str:
     raise TypeError(f"{t.__name__} has no JSON rendering here")
 
 
+# The source text that renders a flat row's value {v} at indent "    ", by
+# the value's exact type: the types _json renders on one line, and a list,
+# which fits only if every element is a str.
+_FLAT = {
+    str: "e({v})",
+    bool: "('true' if {v} else 'false')",
+    int: "int.__repr__({v})",
+    type(None): "'null'",
+    list: "('[\\n      ' + ',\\n      '.join(map(e, {v})) + '\\n    ]'"
+    " if {v} else '[]')",
+}
+
+
+def _row_template(row):
+    """Compile `row`'s shape: a function that renders any dict with the
+    same keys in the same insertion order, and values of the same exact
+    types, as _json(r, "  ") does, and returns None for any other dict with
+    those keys. None when `row` is empty or not flat: a key that is not a
+    str, or a value of a type _FLAT does not hold. For {"n": "K", "k": 3}
+    the function is
+
+        def fill(r):
+            v0, v1, = r.values()
+            if type(v0) is not t0 or type(v1) is not t1:
+                return None
+            return ''.join(('{\\n    "k": ', int.__repr__(v1), ',\\n    "n": ', e(v0), '\\n  }'))
+    """
+    types = tuple(map(type, row.values()))
+    if not row or any(type(k) is not str for k in row) or not all(
+        t in _FLAT for t in types
+    ):
+        return None
+    n = len(types)
+    src = [
+        "def fill(r):",
+        "    " + "".join(f"v{i}, " for i in range(n)) + "= r.values()",
+        "    if " + " or ".join(f"type(v{i}) is not t{i}" for i in range(n)) + ":",
+        "        return None",
+    ]
+    for i, t in enumerate(types):
+        if t is list:
+            src += [
+                f"    for x in v{i}:",
+                "        if type(x) is not str:",
+                "            return None",
+            ]
+    # each key's encoded prefix, then its value's rendering, in key order
+    parts = []
+    seps = ["{\n    "] + [",\n    "] * (n - 1)
+    for sep, (k, i) in zip(seps, sorted(zip(row, range(n)))):
+        prefix = sep + encode_basestring_ascii(k) + ": "
+        parts += [repr(prefix), _FLAT[types[i]].format(v=f"v{i}")]
+    src.append("    return ''.join((" + ", ".join(parts) + r", '\n  }'))")
+    scope = {f"t{i}": t for i, t in enumerate(types)}
+    scope["e"] = encode_basestring_ascii
+    exec("\n".join(src), scope)
+    return scope["fill"]
+
+
 def _json_rows(rows):
     """The bytes of _json(list(rows)) in pieces, one per row, taken from
-    `rows` as it yields."""
+    `rows` as it yields. A template is compiled whenever a dict row's key
+    tuple differs from the previous dict row's; rows of that shape whose
+    values fit it are filled in, and every other row (not a dict, not
+    flat, or of other value types) goes through _json, which also raises
+    the TypeError for a type it has no rendering of."""
     sep = "[\n  "
+    shape = fill = None
     for r in rows:
-        yield sep + _json(r, "  ")
+        piece = None
+        if type(r) is dict:
+            keys = tuple(r)
+            if keys != shape:
+                shape, fill = keys, _row_template(r)
+            if fill is not None:
+                piece = fill(r)
+        yield sep + (piece or _json(r, "  "))
         sep = ",\n  "
     yield "[]" if sep == "[\n  " else "\n]"
 
@@ -104,9 +175,10 @@ def _emit(fmt, rows, line, columns=(), ok=True):
     """Write `rows`, one dict or an iterable of dicts, as JSON, as a table
     of `line(row)` strings, or, for flat rows, as CSV over `columns`. An
     iterable is written row by row as it yields and is never held: JSON
-    with one stdout write per row, table and CSV with one click.echo per
-    line. After the last row, exit 1 unless `ok` and no row reads
-    "ok": false."""
+    through _json_rows, whose flat rows fill a template compiled once per
+    key order, with one stdout write per row; table and CSV with one
+    click.echo per line. One dict is rendered by _json alone. After the
+    last row, exit 1 unless `ok` and no row reads "ok": false."""
     if type(rows) is dict:
         click.echo(_json(rows) if fmt == "json" else line(rows))
         ok = ok and rows.get("ok", True)

@@ -16,12 +16,12 @@ class KnotDataError(ValueError):
 
 
 def json_typed(value, what: str, kind: type = int):
-    """value if it is a JSON integer, or with kind=bool a JSON boolean.
-    Anything else, a boolean for an integer included, is refused, never
-    coerced."""
+    """value if it is a JSON integer, or with kind=bool a JSON boolean, or
+    with kind=str a JSON string. Anything else, a boolean for an integer
+    included, is refused, never coerced."""
     if type(value) is not kind:
         shown = json.dumps(value, default=repr)
-        noun = "boolean" if kind is bool else "integer"
+        noun = {int: "integer", bool: "boolean", str: "string"}[kind]
         raise KnotDataError(f"{what} must be a JSON {noun}, got {shown}")
     return value
 
@@ -165,8 +165,11 @@ def _parse_knot_record(obj, idx: int):
     if not isinstance(obj, dict):
         raise KnotDataError(f"record {idx}: expected a JSON object")
     kind = obj.get("type")
-    name = obj.get("name", f"record-{idx}")
+    # a record without a string name is named by its index, as a nameless one
+    given = obj.get("name", f"record-{idx}")
+    name = given if type(given) is str else f"record-{idx}"
     try:
+        json_typed(given, "name", str)
         if kind == "seifert":
             V = [[json_typed(x, "Seifert entry") for x in row] for row in obj["V"]]
             return SeifertKnot(name=name, V=IntMat(V))

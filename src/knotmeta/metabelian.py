@@ -158,15 +158,15 @@ class ClassReport(NamedTuple):
         return self.relation_ok and self.irreducible_ok and self.meridian_trace_zero
 
     def to_dict(self) -> dict:
-        D = self.D
+        knot, k, D, relation_ok, irreducible_ok, meridian_trace_zero, failures = self
         return {
-            "knot": self.knot,
-            "thetas": [ratio_str(x, D) for x in self.k],
-            "relation_ok": self.relation_ok,
-            "irreducible_ok": self.irreducible_ok,
-            "meridian_trace_zero": self.meridian_trace_zero,
-            "ok": self.ok,
-            "failures": list(self.failures),
+            "knot": knot,
+            "thetas": [ratio_str(x, D) for x in k],
+            "relation_ok": relation_ok,
+            "irreducible_ok": irreducible_ok,
+            "meridian_trace_zero": meridian_trace_zero,
+            "ok": relation_ok and irreducible_ok and meridian_trace_zero,
+            "failures": list(failures),
         }
 
 
@@ -189,13 +189,13 @@ def verify_class(K: SeifertKnot, c) -> ClassReport:
         thetas = _exact(c, f"{K.name}: ")
         D = math.lcm(*(t.denominator for t in thetas))
         ks = tuple(t.numerator * (D // t.denominator) % D for t in thetas)
-    W = K.symmetrized()
-    if len(ks) != W.rows:
+    W = K.W.entries
+    if len(ks) != len(W):
         raise ValueError(
-            f"{K.name}: rotation vector has {len(ks)} entries, W has {W.rows} rows"
+            f"{K.name}: rotation vector has {len(ks)} entries, W has {len(W)} rows"
         )
     failures = []
-    for i, row in enumerate(W.entries):
+    for i, row in enumerate(W):
         s = sum(map(mul, row, ks))
         if s % D:
             failures.append(f"row {i}: W.theta = {ratio_str(s, D)} is not an integer")
@@ -209,12 +209,16 @@ def verify_class(K: SeifertKnot, c) -> ClassReport:
     if not meridian_trace_zero:
         failures.append("trace of meridian image is not 0")
 
-    return ClassReport(
-        knot=K.name,
-        k=ks,
-        D=D,
-        relation_ok=relation_ok,
-        irreducible_ok=irreducible_ok,
-        meridian_trace_zero=meridian_trace_zero,
-        failures=tuple(failures),
+    # in field order, without the generated __new__ and its keyword binding
+    return tuple.__new__(
+        ClassReport,
+        (
+            K.name,
+            ks,
+            D,
+            relation_ok,
+            irreducible_ok,
+            meridian_trace_zero,
+            tuple(failures),
+        ),
     )

@@ -123,6 +123,7 @@ class TestMeta:
         [
             ("meta-enum", "json", "dense-meta-enum.json"),
             ("meta-verify", "table", "dense-meta-verify.txt"),
+            ("meta-verify", "json", "dense-meta-verify.json"),
         ],
     )
     def test_dense_output_matches_recording(self, runner, cmd, fmt, recording):
@@ -530,6 +531,10 @@ class TestSweep:
         res = runner.invoke(main, ["sweep", "--p-max", "9", "-f", "json"])
         assert res.exit_code == 1
         assert "S(7,3): injected failure" in res.stderr
+        # the failing row gains "error" mid-stream; the rows around it keep
+        # the bytes of json.dumps
+        redumped = json.dumps(json.loads(res.stdout), sort_keys=True, indent=2)
+        assert res.stdout == redumped + "\n"
         rows = {r["name"]: r for r in json.loads(res.stdout)}
         assert len(rows) == 9
         bad = rows.pop("S(7,3)")
@@ -652,6 +657,20 @@ class TestStrictIngest:
             # integers, but no 2-bridge knot S(p, q) to bound deg_l by
             ("apoly-analyze", _apoly(p=4, q=2), "p must be odd and >= 3, got 4"),
             ("apoly-analyze", _apoly(p=7, q=0), "q must be odd, got 0"),
+            # a name is a JSON string, never rendered from another type
+            ("det", _twobridge(name=1.5), "name must be a JSON string, got 1.5"),
+            ("det", _twobridge(name=1), "name must be a JSON string, got 1"),
+            (
+                "meta-count",
+                _twobridge(name=["a"]),
+                'name must be a JSON string, got ["a"]',
+            ),
+            ("det", _twobridge(name=True), "name must be a JSON string, got true"),
+            (
+                "apoly-analyze",
+                _apoly(name=None),
+                "name must be a JSON string, got null",
+            ),
         ],
     )
     def test_rejected(self, runner, tmp_path, command, record, message):
@@ -687,6 +706,55 @@ json_documents = st.recursive(
 )
 
 
+# Rows over a few key sets, so that shapes repeat. The values cover each
+# type a row template renders (str, int, bool, None, a list of str, []) and
+# ones it leaves to _json (a list holding an int, a nested dict).
+_ROW_KEYS = (
+    ("name", "thetas", "order"),
+    ("knot", "ok", "failures", "thetas"),
+    ("{0}", "}", '"\\', "\u00e9\U0001f600"),
+)
+_row_values = (
+    _json_text,
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.lists(_json_text, min_size=1, max_size=3),
+    st.just([]),
+    st.lists(st.integers(), min_size=1, max_size=2),
+    st.dictionaries(_json_text, st.integers(), max_size=2),
+)
+
+
+@st.composite
+def row_streams(draw):
+    """Up to three shapes, each a key order with a flat value kind per key;
+    every row takes one of them, and one row in four has one value of any
+    kind."""
+    shapes = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_ROW_KEYS).flatmap(st.permutations),
+                st.lists(st.sampled_from(_row_values[:6]), min_size=4, max_size=4),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        keys, kinds = draw(st.sampled_from(shapes))
+        row = {k: draw(kind) for k, kind in zip(keys, kinds)}
+        if not draw(st.integers(0, 3)):
+            row[draw(st.sampled_from(keys))] = draw(st.one_of(_row_values))
+        rows.append(row)
+    return rows
+
+
+class _Str(str):
+    pass
+
+
 class TestJsonWriter:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(json_documents, st.lists(json_documents, max_size=4))
@@ -704,3 +772,24 @@ class TestJsonWriter:
     def test_other_types_raise(self, doc):
         with pytest.raises(TypeError):
             cli._json(doc)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(row_streams())
+    def test_row_templates_same_bytes_as_json_dumps(self, rows):
+        streamed = "".join(cli._json_rows(r for r in rows))
+        assert streamed == json.dumps(rows, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"name": "K", "thetas": ["1/3"], "order": 0.5},
+            {"name": _Str("K"), "thetas": ["1/3"], "order": 3},
+            {"name": "K", "thetas": [_Str("1/3")], "order": 3},
+            {"name": "K", "thetas": ["1/3"], 3: "order"},
+        ],
+        ids=["float", "str subclass", "str subclass in list", "int key"],
+    )
+    def test_unfit_row_after_a_compiled_one_raises(self, row):
+        compiled = {"name": "K", "thetas": ["1/3"], "order": 3}
+        with pytest.raises(TypeError):
+            "".join(cli._json_rows(iter([compiled, compiled, row])))

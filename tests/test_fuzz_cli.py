@@ -67,7 +67,7 @@ def seifert_matrices(draw):
 seifert_records = st.fixed_dictionaries(
     {
         "type": st.just("seifert"),
-        "name": names,
+        "name": names | json_values,
         "V": st.one_of(
             seifert_matrices(),
             seifert_matrices(),
@@ -79,7 +79,7 @@ seifert_records = st.fixed_dictionaries(
 twobridge_records = st.fixed_dictionaries(
     {
         "type": st.just("twobridge"),
-        "name": names,
+        "name": names | json_values,
         "p": int_field(odd(1, 12) | st.integers(-9, 25)),
         "q": int_field(odd(-12, 11) | st.integers(-25, 25)),
     }
@@ -95,7 +95,11 @@ terms = st.lists(
     max_size=5,
 )
 apoly_records = st.fixed_dictionaries(
-    {"type": st.just("apoly"), "name": names, "terms": terms | terms | json_values},
+    {
+        "type": st.just("apoly"),
+        "name": names | json_values,
+        "terms": terms | terms | json_values,
+    },
     optional={
         "p": int_field(odd(1, 10)),
         "q": int_field(odd(-10, 9)),
