@@ -381,6 +381,7 @@ def metabelian_multiplicity_probe(A: APoly, det: int) -> ProbeReport:
     """Probe the conjecture that the (l-1)-multiplicity of A(sqrt(-1),l)
     is at most (det-1)/2. Violations are reported, never raised; a det
     that is not a positive odd integer is an input error."""
+    det = _integer(f"{A.name}: det", det)
     if det < 1:
         raise APolyError(f"{A.name}: knot determinant must be positive, got {det}")
     if det % 2 == 0:

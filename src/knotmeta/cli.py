@@ -52,11 +52,15 @@ class KnotmetaGroup(click.Group):
 
 
 def _cell(value) -> str:
+    """One CSV cell, quoted as csv.writer quotes minimally: a cell holding
+    a comma, a double quote or a line break goes in double quotes, its own
+    quotes doubled."""
     if value is None:
         return ""
-    if isinstance(value, list):
-        return ";".join(map(str, value))
-    return str(value)
+    s = ";".join(map(str, value)) if isinstance(value, list) else str(value)
+    if "," in s or '"' in s or "\n" in s or "\r" in s:
+        return '"' + s.replace('"', '""') + '"'
+    return s
 
 
 def _json(o, indent="") -> str:

@@ -363,91 +363,58 @@ def _sign_changes(chain, n: int, m: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _halving_cell(sqf: tuple, lo: int, hi: int, m: int, lo_sign: int, bits: int):
-    """Halve (lo, hi]/m `bits` times by the sign of sqf, a zero at the
-    midpoint going to hi; the final (lo, hi, m)."""
-    for _ in range(bits):
-        lo, hi, m = 2 * lo, 2 * hi, 2 * m
-        mid = (lo + hi) >> 1
-        s = _sign_at(sqf, mid, m)
-        if s == 0 or s != lo_sign:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi, m
-
-
-def _newton_cell(sqf: tuple, lo: int, hi: int, m: int, lo_sign: int, bits: int):
-    """A guess at the index j of the grid cell that _halving_cell ends in,
-    or None.
-
-    Newton steps on sqf from the midpoint of (lo, hi]/m, at a precision
-    that follows the correct bits: a point is a numerator over 2^e, with
-    2^-e about 2^-k times the bracket's width. Each exact value moves an
-    end of the bracket (a, b) to the iterate by its sign, and a step that
-    would leave the bracket is replaced by its midpoint. Only a guess: the
-    caller certifies the cell."""
-    w = hi - lo
-    e0 = m.bit_length() - w.bit_length()  # 2^-e0 is about w/m, within 2x
-    k = max(4, -e0)
-    e = e0 + k
-    a, b = (lo << e) // m, -((-hi << e) // m)
-    x = (a + b) >> 1
-    target = bits + 2
-    for _ in range(4 * target):
-        F, G = _value_and_slope(sqf, x, 1 << e)
-        if F * lo_sign > 0:
-            a = x
-        else:
-            b = x
-        step = F // G if G else None
-        if step is None or abs(step) > 1 and not a < x - step < b:
-            x = (a + b) >> 1
-            continue
-        x -= step
-        if k >= target and abs(step) <= 1:
-            return ((((x * m) << bits) >> e) - (lo << bits)) // w
-        # a step of s units leaves about 2 (k - bitlen(s)) correct bits
-        good = min(2 * (k - abs(step).bit_length()), target)
-        if good > k:
-            shift, k = good - k, good
-            a, b, x, e = a << shift, b << shift, x << shift, e + shift
-    return None
-
-
 def _grid_cell(sqf: tuple, lo: int, hi: int, m: int, bits: int):
     """The cell (L_j, L_j + w] that holds the one root of sqf in
     (lo, hi]/m, on the grid L_i = (lo << bits) + i*w over M = m << bits
-    with w = hi - lo, as (L_j, L_j + w, M): the triple _halving_cell
-    returns.
+    with w = hi - lo, as (L_j, L_j + w, M): the cell that `bits` halvings
+    of (lo, hi] end in, where a root on a midpoint closes the left half.
 
-    sqf changes sign at that root and nowhere else in (lo, hi], so it has
-    lo's sign at L_i exactly when the root lies beyond L_i, and two exact
-    signs certify a cell. The Newton guess j is tried, then the neighbour
-    that the first sign points to; if neither holds, halving decides."""
+    sqf changes sign at that root and nowhere else in (lo, hi], so an
+    exact sign at any point y of the interval says whether the root lies
+    beyond y: it does exactly when sqf has lo's sign there. The loop keeps
+    a bracket a < b of grid indices, the root beyond L_a and not beyond
+    L_b, and stops at b = a + 1. Its probes are Newton steps at points
+    Y/2^E, 2^-E under half a cell. A probe with lo's sign moves a to the
+    grid index at or below it; any other sign moves b to the index at or
+    above it. A zero step crosses the root by one unit. A probe outside
+    the bracket, a zero slope, or a step longer than one unit and more
+    than half the step before it give way to the bracket's middle (the
+    rtsafe safeguard, Numerical Recipes section 9.4); a probe already made
+    gives way to the exact sign of the middle grid point. Every move rests
+    on an exact sign, so the cell is the halving's."""
     # lo is +-B/D or a nudged midpoint, and never a root, so lo_sign != 0
     lo_sign = _sign_at(sqf, lo, m)
-    w, M, base, top = hi - lo, m << bits, lo << bits, 1 << bits
-
-    def beyond(i):
-        return _sign_at(sqf, base + i * w, M) == lo_sign
-
-    j = _newton_cell(sqf, lo, hi, m, lo_sign, bits)
-    if j is not None:
-        # the root lies beyond L_0 = lo and not beyond L_top = hi, so the
-        # neighbours stay within the grid
-        j = min(max(j, 0), top - 1)
-        if not beyond(j):
-            j -= 1
-            ok = beyond(j)
-        elif beyond(j + 1):
-            j += 1
-            ok = not beyond(j + 1)
+    w, M, base = hi - lo, m << bits, lo << bits
+    E = (2 * M // w).bit_length()  # 2^-E < w / 2M
+    W, B = w << E, base << E
+    a, b = 0, 1 << bits
+    # every step inside (lo, hi] is under W, so the first passes the guard
+    probed, Y, last = set(), None, 2 * W
+    while b - a > 1:
+        if Y is None or not a * W < Y * M - B < b * W:
+            Y = ((2 * base + (a + b) * w) << E) // (2 * M)
+        if Y in probed:
+            j = (a + b) >> 1
+            if _sign_at(sqf, base + j * w, M) == lo_sign:
+                a = j
+            else:
+                b = j
+            Y = None
+            continue
+        probed.add(Y)
+        F, G = _value_and_slope(sqf, Y, 1 << E)
+        j, r = divmod(Y * M - B, W)
+        if F * lo_sign > 0:
+            a, cross = j, -1
         else:
-            ok = True
-        if ok:
-            return base + j * w, base + (j + 1) * w, M
-    return _halving_cell(sqf, lo, hi, m, lo_sign, bits)
+            b, cross = j + (r > 0), 1
+        step = (F // G or cross) if G else None
+        if step is None or abs(step) > 1 and 2 * abs(step) > abs(last):
+            Y = None
+        else:
+            Y -= step
+        last = step or last
+    return base + a * w, base + b * w, M
 
 
 def approx_real_roots(phi: tuple, bits: int = 50):
@@ -459,10 +426,9 @@ def approx_real_roots(phi: tuple, bits: int = 50):
     and every sign is an integer Horner evaluation. Sturm counts isolate
     the distinct roots (bisecting [-B/D, B/D] and nudging midpoints off
     exact roots). Each isolating interval (lo, hi] is cut into a grid of
-    2^bits cells, and the cell holding the root is found by _grid_cell:
-    a Newton guess certified by two exact signs of phi's squarefree part,
-    or else `bits` halvings, which give the same cell. Only the cell's
-    midpoint becomes a float."""
+    2^bits cells, and _grid_cell finds the cell holding the root with one
+    bracket of exact signs of phi's squarefree part: the cell that `bits`
+    halvings would give. Only the cell's midpoint becomes a float."""
     if len(phi) < 2:
         return [], 0
     f = _primitive(phi)

@@ -280,6 +280,18 @@ class TestProbe:
         with pytest.raises(APolyError, match="odd"):
             metabelian_multiplicity_probe(fixture("3_1"), det=4)
 
+    @pytest.mark.parametrize("det", [True, False])
+    def test_boolean_determinant_rejected(self, det):
+        # read as 1, True would give bound 0: a false counterexample
+        with pytest.raises(APolyError, match="3_1: det: boolean"):
+            analyze(fixture("3_1"), det=det)
+
+    @pytest.mark.parametrize("det", [3.0, 2.5])
+    def test_float_determinant_rejected(self, det):
+        # 3.0 would put the float 1.0 into the bound; 2.5 passes the odd test
+        with pytest.raises(TypeError):
+            analyze(fixture("3_1"), det=det)
+
 
 class TestWarning:
     def test_fixtures_clean(self):

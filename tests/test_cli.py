@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -466,7 +468,7 @@ class TestSweep:
         assert lines[0] == cli.SWEEP_HEADER
         # S(p,q), 0 < q < p odd coprime, p in {3,5,7,9}: 1+2+3+3 rows
         assert len(lines) == 1 + 9
-        assert lines[1].startswith("S(3,1),3,1,3,1,1,True,True,True")
+        assert lines[1].startswith('"S(3,1)",3,1,3,1,1,True,True,True')
 
     def test_rejects_even_p_max(self, runner):
         res = runner.invoke(main, ["sweep", "--p-max", "8"])
@@ -550,7 +552,7 @@ class TestSweep:
         monkeypatch.setattr(cli.riley, "section_at_minus_one", failing)
         csv = runner.invoke(main, ["sweep", "--p-max", "3", "-f", "csv"])
         assert csv.exit_code == 1
-        assert csv.stdout.splitlines()[1] == "S(3,1),3,1,3,,,,,"
+        assert csv.stdout.splitlines()[1] == '"S(3,1)",3,1,3,,,,,'
         table = runner.invoke(main, ["sweep", "--p-max", "3"])
         assert table.exit_code == 1
         assert table.stdout == "S(3,1): FAIL S(3,1): injected failure\n"
@@ -574,6 +576,38 @@ def test_csv_is_a_usage_error_for_nested_rows(runner, args):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "'csv' is not one of 'table', 'json'" in res.stderr
+
+
+def _csv_cell(value) -> str:
+    """A JSON row value as its CSV cell reads back: lists joined by ';'."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    return str(value)
+
+
+@pytest.mark.parametrize("cmd", ["sweep", "det", "meta-count", "meta-enum"])
+def test_csv_reads_back_as_the_json_rows(runner, tmp_path, cmd):
+    """Every CSV row parses with csv.reader to the header's width, and its
+    cells are the JSON row's values; names hold commas, quotes and a line
+    break."""
+    knots = tmp_path / "knots.json"
+    names = ['a,"b"', "two\nlines", "3_1"]
+    records = [{"type": "seifert", "name": n, "V": [[-1, 1], [0, -1]]} for n in names]
+    knots.write_text(json.dumps(records))
+    args = ["--p-max", "9", "--negative-q"] if cmd == "sweep" else ["-i", str(knots)]
+    out = {}
+    for fmt in ("csv", "json"):
+        res = runner.invoke(main, [cmd, *args, "-f", fmt])
+        assert res.exit_code == 0, res.output
+        out[fmt] = res.stdout
+    header, *rows = csv.reader(io.StringIO(out["csv"], newline=""))
+    want = [[_csv_cell(r[k]) for k in header] for r in json.loads(out["json"])]
+    assert all(len(row) == len(header) for row in rows)
+    assert rows == want
+    if cmd != "sweep":
+        assert {row[0] for row in rows} == set(names)
 
 
 def test_reader_closing_early_exits_1_quietly():

@@ -84,6 +84,15 @@ twobridge_records = st.fixed_dictionaries(
         "q": int_field(odd(-12, 11) | st.integers(-25, 25)),
     }
 )
+# a valid S(p,q) under a name that is not a JSON string: always refused
+misnamed_records = st.fixed_dictionaries(
+    {
+        "type": st.just("twobridge"),
+        "name": json_values.filter(lambda v: type(v) is not str),
+        "p": st.just(5),
+        "q": st.sampled_from([-3, -1, 1, 3]),
+    }
+)
 terms = st.lists(
     st.fixed_dictionaries(
         {
@@ -148,12 +157,16 @@ def _run(new_file, args, doc):
     res = CliRunner().invoke(main, [*args, "-i", str(path)])
     assert res.exit_code in (0, 1, 2), (res.exit_code, res.output)
     assert res.exception is None or isinstance(res.exception, SystemExit), doc
+    # a record whose name is not a string is refused, never renamed
+    records = doc if isinstance(doc, list) else [doc]
+    if any(type(r) is dict and type(r.get("name", "")) is not str for r in records):
+        assert res.exit_code == 2, (doc, res.output)
     return path
 
 
 @FUZZ
 @given(
-    doc=documents(seifert_records | twobridge_records),
+    doc=documents(seifert_records | twobridge_records | misnamed_records),
     command=st.sampled_from(["det", "meta-count"]),
     fmt=st.sampled_from(["table", "json", "csv"]),
 )

@@ -1,7 +1,10 @@
 """The display roots of phi(-1,u) from `tb-riley --roots`: byte-stable
-against recorded output, checked against sympy, and fast at p = 101."""
+against recorded output, checked against sympy, and fast at p = 101; and
+every grid cell `riley._grid_cell` finds checked against the halving loop
+it must reproduce."""
 
 import json
+import random
 import time
 from pathlib import Path
 
@@ -67,7 +70,22 @@ def test_p101_within_budget():
 
 
 # ---------------------------------------------------------------------------
-# Certified grid cells against the halving they replace
+# Grid cells against the halving loop they must reproduce
+
+
+def _halving_cell(sqf, lo, hi, m, bits):
+    """The oracle: halve (lo, hi]/m `bits` times by the exact sign of sqf,
+    a zero at the midpoint going to hi; the final (lo, hi, m)."""
+    lo_sign = _sign_at(sqf, lo, m)
+    for _ in range(bits):
+        lo, hi, m = 2 * lo, 2 * hi, 2 * m
+        mid = (lo + hi) >> 1
+        s = _sign_at(sqf, mid, m)
+        if s == 0 or s != lo_sign:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, m
 
 
 def _mul(a, b):
@@ -84,73 +102,99 @@ GRID_POINT = _mul((-1, 2), (-3, 0, 1))
 NEAR_DOUBLE = _mul(_mul((-1, 1), (-(2**60) - 1, 2**60)), (5, 0, 1))
 
 
-@pytest.fixture
-def cells(monkeypatch):
-    """Record, for each isolating interval, the cell approx_real_roots takes
-    and the cell of the halving loop alone; and count the halvings run."""
-    log = {"cells": [], "halvings": 0, "guess_off": []}
-    grid, halving, newton = riley._grid_cell, riley._halving_cell, riley._newton_cell
+def _intervals(monkeypatch, polys):
+    """The arguments of every _grid_cell call approx_real_roots makes,
+    each answered by the oracle."""
+    calls = []
 
-    def counting_halving(*args):
-        log["halvings"] += 1
-        return halving(*args)
+    def spy(*args):
+        calls.append(args)
+        return _halving_cell(*args)
 
-    def spy_newton(sqf, lo, hi, m, lo_sign, bits):
-        j = newton(sqf, lo, hi, m, lo_sign, bits)
-        L, _R, _M = halving(sqf, lo, hi, m, lo_sign, bits)
-        log["guess_off"].append(None if j is None else j - (L - (lo << bits)) // (hi - lo))
-        return j
-
-    def spy_grid(sqf, lo, hi, m, bits):
-        got = grid(sqf, lo, hi, m, bits)
-        log["cells"].append((got, halving(sqf, lo, hi, m, _sign_at(sqf, lo, m), bits)))
-        return got
-
-    monkeypatch.setattr(riley, "_halving_cell", counting_halving)
-    monkeypatch.setattr(riley, "_newton_cell", spy_newton)
-    monkeypatch.setattr(riley, "_grid_cell", spy_grid)
-    return log
-
-
-def _halving_only(monkeypatch, phi):
     with monkeypatch.context() as mp:
-        mp.setattr(riley, "_newton_cell", lambda *args: None)
-        return approx_real_roots(phi)
+        mp.setattr(riley, "_grid_cell", spy)
+        for phi in polys:
+            approx_real_roots(phi)
+    return calls
 
 
-def test_certified_cells_equal_halving_p_le_45(cells):
+def _check_cells(monkeypatch, polys, before=None):
+    """Find the cell of every isolating interval of `polys` and compare it
+    with the oracle's. Each cell may take 2*bits + 4 exact evaluations, and
+    the next one raises, so a loop that never ends fails. With true slopes
+    (no `before`), one sign is at lo and at most one at a grid point;
+    `before` sees each interval and its oracle cell first. Returns the
+    cells."""
+    used = {}
+    budget = 0
+
+    def counted(kind, f):
+        def wrapper(*args):
+            used[kind] += 1
+            if sum(used.values()) > budget:
+                raise AssertionError(f"a cell took over {budget} evaluations")
+            return f(*args)
+
+        return wrapper
+
+    cells = []
+    intervals = _intervals(monkeypatch, polys)
+    with monkeypatch.context() as mp:
+        mp.setattr(riley, "_sign_at", counted("signs", _sign_at))
+        slopes = counted("slopes", riley._value_and_slope)
+        mp.setattr(riley, "_value_and_slope", slopes)
+        for args in intervals:
+            want = _halving_cell(*args)
+            if before:
+                before(args, want)
+            used.update(signs=0, slopes=0)
+            budget = 2 * args[-1] + 4
+            cell = riley._grid_cell(*args)
+            assert cell == want, args
+            if not before:
+                assert used["signs"] <= 2, f"{args}: a second sign at a grid point"
+            cells.append(cell)
+    return cells
+
+
+def test_certified_cells_equal_halving_p_le_45(monkeypatch):
     knots = all_two_bridge(45, include_negative_q=True)
     phis = {section_at_minus_one(K).phi for K in knots}
-    for phi in phis:
-        approx_real_roots(phi)
+    cells = _check_cells(monkeypatch, phis)
     # phi(-1,u) has (p-1)/2 real roots
-    assert len(cells["cells"]) == sum(len(phi) - 1 for phi in phis)
-    assert all(got == want for got, want in cells["cells"])
-    # every guess is the cell or its neighbour, so no halving runs
-    assert cells["halvings"] == 0
-    assert {abs(d) for d in cells["guess_off"]} <= {0, 1}
+    assert len(cells) == sum(len(phi) - 1 for phi in phis)
 
 
-def test_root_on_a_grid_point(cells, monkeypatch):
-    roots = approx_real_roots(GRID_POINT)
-    on_grid = [
-        off
-        for ((_L, R, M), _want), off in zip(cells["cells"], cells["guess_off"])
-        if _sign_at(GRID_POINT, R, M) == 0
+def test_root_on_a_grid_point(monkeypatch):
+    # (2^k u - 5)(2^(k-3) u + 7): both dyadic roots on grid points
+    dyadic = [_mul((-5, 2**k), (7, 2 ** (k - 3))) for k in range(9, 46, 6)]
+    for phi in [GRID_POINT, *dyadic]:
+        cells = _check_cells(monkeypatch, [phi])
+        # a root on a grid point closes its cell
+        closing = [(L, R) for L, R, M in cells if _sign_at(phi, R, M) == 0]
+        assert len(closing) == (1 if phi == GRID_POINT else 2), phi
+    assert approx_real_roots(GRID_POINT)[0][1] < 0.5
+
+
+def test_near_double_root(monkeypatch):
+    # (u - 3)(2^k u - 3 * 2^k - 1)(u + 1): two roots 2^-k apart
+    pairs = [
+        _mul(_mul((-3, 1), (-3 * 2**k - 1, 2**k)), (1, 1)) for k in range(20, 81, 4)
     ]
-    # Newton lands on the root 1/2, the left end of the cell after the one
-    # that holds it; that cell's first sign sends the check to its neighbour
-    assert on_grid == [1]
-    assert cells["halvings"] == 0
-    assert all(got == want for got, want in cells["cells"])
-    assert roots == _halving_only(monkeypatch, GRID_POINT)
+    cells = _check_cells(monkeypatch, [NEAR_DOUBLE, *pairs])
+    assert len(cells) == 2 + 3 * len(pairs)
+    roots, complex_pairs = approx_real_roots(NEAR_DOUBLE)
+    assert len(roots) == 2 and complex_pairs == 1
 
 
-def test_near_double_root(cells, monkeypatch):
-    roots, pairs = approx_real_roots(NEAR_DOUBLE)
-    assert len(roots) == 2 and pairs == 1
-    assert all(got == want for got, want in cells["cells"])
-    assert (roots, pairs) == _halving_only(monkeypatch, NEAR_DOUBLE)
+def test_cells_equal_halving_seeded(monkeypatch):
+    rng = random.Random(23)
+    polys = []
+    for _ in range(300):
+        deg = rng.randint(1, 12)
+        lead = rng.choice((-1, 1)) * rng.randint(1, 9)
+        polys.append(tuple(rng.randint(-30, 30) for _ in range(deg)) + (lead,))
+    assert len(_check_cells(monkeypatch, polys)) > 300
 
 
 @pytest.mark.parametrize("wrong", [None, -1, 1, -2, 2, -(2**70), 2**70])
@@ -160,25 +204,25 @@ def test_near_double_root(cells, monkeypatch):
     ids=["grid-point", "near-double", "S(31,q)"],
 )
 def test_wrong_guess(monkeypatch, phi, wrong):
-    """A guess `wrong` cells off the true one (None: no guess). One cell
-    off is caught by the neighbour check; anything further, or no guess,
-    falls back to halving. The roots are the halving loop's either way."""
-    want = _halving_only(monkeypatch, phi)
-    halving = riley._halving_cell
-    halvings = []
+    """Slopes patched so that every Newton step aims `wrong` cells off the
+    root's cell (None: a zero slope, so no Newton step at all). They only
+    choose where the bracket probes; every move rests on an exact sign, so
+    the cell stays the oracle's, within the same budget."""
+    value_and_slope = riley._value_and_slope
+    aim = {}
 
-    def bad_guess(sqf, lo, hi, m, lo_sign, bits):
+    def steered(f, n, m):
+        F, _G = value_and_slope(f, n, m)
         if wrong is None:
-            return None
-        L, _R, _M = halving(sqf, lo, hi, m, lo_sign, bits)
-        return (L - (lo << bits)) // (hi - lo) + wrong
+            return F, 0
+        # the probe n/m minus the aim, in units of 1/m
+        d = n - aim["L"] * m // aim["M"]
+        return F, F // d if d else 0
 
-    def counting_halving(*args):
-        halvings.append(args)
-        return halving(*args)
+    def aim_at(args, want):
+        _sqf, lo, hi, _m, _bits = args
+        # the grid's cells are hi - lo apart over M
+        aim.update(L=want[0] + (wrong or 0) * (hi - lo), M=want[2])
 
-    monkeypatch.setattr(riley, "_newton_cell", bad_guess)
-    monkeypatch.setattr(riley, "_halving_cell", counting_halving)
-    roots = approx_real_roots(phi)
-    assert roots == want
-    assert len(halvings) == (0 if wrong in (-1, 1) else len(roots[0]))
+    monkeypatch.setattr(riley, "_value_and_slope", steered)
+    _check_cells(monkeypatch, [phi], before=aim_at)
