@@ -4,11 +4,11 @@ deterministic reports.
 Each command builds its JSON rows once, as one dict or an iterable of
 dicts; `meta-enum`, `meta-verify` and `sweep` feed a generator, knot by
 knot, so no report is ever held whole. `_emit` writes every row as it
-comes, as JSON, table or CSV. Exit codes: 0 success, 1 verification
-failure, 2 input error; `KnotmetaGroup` maps the package's errors to
-them in one place. Input is validated in full before the first byte goes
-out. JSON output is bit-stable (sorted keys, rationals rendered as
-"num/den" strings).
+comes, as JSON, table or CSV, through one stdout stream. Exit codes: 0
+success, 1 verification failure, 2 input error; `KnotmetaGroup` maps the
+package's errors to them in one place, and `_fail` writes every stderr
+line. Input is validated in full before the first byte goes out. JSON
+output is bit-stable (sorted keys, rationals rendered as "num/den" strings).
 """
 
 from __future__ import annotations
@@ -36,6 +36,13 @@ INPUT_ERRORS = (KnotDataError, apoly_mod.APolyError, IntLinAlgError)
 VERIFICATION_ERRORS = (riley.RileyError, metabelian.CensusError)
 
 
+def _fail(kind, exc):
+    """The one stderr line, `kind: exc`. stdout is flushed first, so in a
+    merged stream the line follows every row written before it."""
+    click.get_text_stream("stdout", errors=None).flush()
+    click.echo(f"{kind}: {exc}", err=True)
+
+
 class KnotmetaGroup(click.Group):
     """The one error mapping: input errors exit 2, a failed identity or
     census count exits 1, each with its message on stderr."""
@@ -44,10 +51,10 @@ class KnotmetaGroup(click.Group):
         try:
             return super().invoke(ctx)
         except INPUT_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
+            _fail("error", exc)
             ctx.exit(2)
         except VERIFICATION_ERRORS as exc:
-            click.echo(f"verification failure: {exc}", err=True)
+            _fail("verification failure", exc)
             ctx.exit(1)
 
 
@@ -177,34 +184,30 @@ def _json_rows(rows):
 
 def _emit(fmt, rows, line, columns=(), ok=True):
     """Write `rows`, one dict or an iterable of dicts, as JSON, as a table
-    of `line(row)` strings, or, for flat rows, as CSV over `columns`. An
-    iterable is written row by row as it yields and is never held: JSON
-    through _json_rows, whose flat rows fill a template compiled once per
-    key order, with one stdout write per row; table and CSV with one
-    click.echo per line. One dict is rendered by _json alone. After the
-    last row, exit 1 unless `ok` and no row reads "ok": false."""
-    if type(rows) is dict:
-        click.echo(_json(rows) if fmt == "json" else line(rows))
-        ok = ok and rows.get("ok", True)
+    of `line(row)` strings, or, for flat rows, as CSV over `columns`, all
+    through the write of click.echo's stdout stream, with no flush per line.
+    An iterable is written as it yields and never held. After the last row,
+    exit 1 unless `ok` and no row reads "ok": false."""
+    write = click.get_text_stream("stdout", errors=None).write
+    single = type(rows) is dict
+
+    def tally(rows):
+        nonlocal ok
+        for r in rows:
+            ok = ok and r.get("ok", True)
+            yield r
+
+    rows = tally([rows] if single else rows)
+    if fmt == "json":
+        for piece in map(_json, rows) if single else _json_rows(rows):
+            write(piece)
+        write("\n")
     else:
-
-        def tally(rows):
-            nonlocal ok
-            for r in rows:
-                ok = ok and r.get("ok", True)
-                yield r
-
-        if fmt == "json":
-            write = sys.stdout.write
-            for piece in _json_rows(tally(rows)):
-                write(piece)
-            write("\n")
-        else:
-            if fmt == "csv":
-                click.echo(",".join(columns))
-                line = lambda r: ",".join(_cell(r[k]) for k in columns)
-            for r in tally(rows):
-                click.echo(line(r))
+        if fmt == "csv":
+            write(",".join(columns) + "\n")
+            line = lambda r: ",".join(_cell(r[k]) for k in columns)
+        for r in rows:
+            write(line(r) + "\n")
     if not ok:
         sys.exit(1)
 
@@ -444,11 +447,8 @@ def _sweep_row(K: TwoBridge) -> dict:
         rel = riley.verify_relator_mod_phi(sec)
         lon = riley.verify_longitude_mod_phi(sec)
     except riley.RileyError as exc:
-        click.echo(f"verification failure: {exc}", err=True)
-        return {k: row.get(k) for k in SWEEP_COLUMNS} | {
-            "ok": False,
-            "error": str(exc),
-        }
+        _fail("verification failure", exc)
+        return dict.fromkeys(SWEEP_COLUMNS) | row | {"ok": False, "error": str(exc)}
     row.update(
         meta_count=cross.metabelian_count,
         riley_deg=sec.roots_count,

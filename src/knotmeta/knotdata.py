@@ -192,7 +192,7 @@ def _load_records(path):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise KnotDataError(f"{path}: malformed JSON: {exc}") from None
     except OSError as exc:
         raise KnotDataError(str(exc)) from None

@@ -417,7 +417,11 @@ def _grid_cell(sqf: tuple, lo: int, hi: int, m: int, bits: int):
     return base + a * w, base + b * w, M
 
 
-def approx_real_roots(phi: tuple, bits: int = 50):
+# every isolating interval is cut into 2^_GRID_BITS display cells
+_GRID_BITS = 50
+
+
+def approx_real_roots(phi: tuple):
     """Approximate real roots of an integer polynomial, for display only.
     Returns (floats, complex_pair_count).
 
@@ -426,9 +430,10 @@ def approx_real_roots(phi: tuple, bits: int = 50):
     and every sign is an integer Horner evaluation. Sturm counts isolate
     the distinct roots (bisecting [-B/D, B/D] and nudging midpoints off
     exact roots). Each isolating interval (lo, hi] is cut into a grid of
-    2^bits cells, and _grid_cell finds the cell holding the root with one
-    bracket of exact signs of phi's squarefree part: the cell that `bits`
-    halvings would give. Only the cell's midpoint becomes a float."""
+    2^_GRID_BITS cells, and _grid_cell finds the cell holding the root with
+    one bracket of exact signs of phi's squarefree part: the cell that
+    _GRID_BITS halvings would give. Only the cell's midpoint becomes a
+    float."""
     if len(phi) < 2:
         return [], 0
     f = _primitive(phi)
@@ -460,7 +465,7 @@ def approx_real_roots(phi: tuple, bits: int = 50):
         if n == 1:
             k = max(a[1], b[1])
             lo, hi, m = _grid_cell(
-                sqf, a[0] << (k - a[1]), b[0] << (k - b[1]), D << k, bits
+                sqf, a[0] << (k - a[1]), b[0] << (k - b[1]), D << k, _GRID_BITS
             )
             roots.append((lo + hi) / (2 * m))
             continue

@@ -82,6 +82,17 @@ class TestDet:
         assert res.exit_code == 2
         assert "error:" in res.stderr
 
+    @pytest.mark.parametrize("cmd", ["det", "apoly-analyze"])
+    def test_deeply_nested_json_exits_2(self, runner, tmp_path, cmd):
+        """Nesting past the decoder's recursion limit is malformed JSON, not
+        a RecursionError traceback."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        res = runner.invoke(main, [cmd, "-i", str(deep)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: {deep}: malformed JSON: ")
+        assert res.stdout == ""
+
 
 class TestMeta:
     def test_count_json(self, runner):
@@ -545,6 +556,29 @@ class TestSweep:
         assert bad["relator_ok"] is None
         assert all(r["ok"] for r in rows.values())
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_failure_line_follows_earlier_rows(self, runner, monkeypatch, fmt):
+        """In stdout and stderr as written, a failing knot's stderr line
+        comes after the rows of the knots before it, in every format."""
+        real = cli.riley.section_at_minus_one
+
+        def failing(K):
+            if K.name == "S(5,3)":
+                raise RileyError(f"{K.name}: injected failure")
+            return real(K)
+
+        monkeypatch.setattr(cli.riley, "section_at_minus_one", failing)
+        res = runner.invoke(main, ["sweep", "--p-max", "5", "-f", fmt])
+        assert res.exit_code == 1
+        line = "verification failure: S(5,3): injected failure\n"
+        assert res.stderr == line
+        k = res.output.index(line)
+        written, rest = res.stdout[:k], res.stdout[k:]
+        assert res.output == written + line + rest
+        assert "S(3,1)" in written and "S(5,1)" in written
+        assert "S(5,3)" not in written and "S(5,3)" in rest
+        assert written.endswith("}" if fmt == "json" else "\n")
+
     def test_failing_knot_in_csv_and_table(self, runner, monkeypatch):
         def failing(K):
             raise RileyError(f"{K.name}: injected failure")
@@ -590,10 +624,10 @@ def _csv_cell(value) -> str:
 @pytest.mark.parametrize("cmd", ["sweep", "det", "meta-count", "meta-enum"])
 def test_csv_reads_back_as_the_json_rows(runner, tmp_path, cmd):
     """Every CSV row parses with csv.reader to the header's width, and its
-    cells are the JSON row's values; names hold commas, quotes and a line
-    break."""
+    cells are the JSON row's values; names hold commas, quotes, a line
+    break and an ANSI escape, which the table keeps too."""
     knots = tmp_path / "knots.json"
-    names = ['a,"b"', "two\nlines", "3_1"]
+    names = ['a,"b"', "two\nlines", "3_1", "\u001b[31mred"]
     records = [{"type": "seifert", "name": n, "V": [[-1, 1], [0, -1]]} for n in names]
     knots.write_text(json.dumps(records))
     args = ["--p-max", "9", "--negative-q"] if cmd == "sweep" else ["-i", str(knots)]
@@ -608,6 +642,8 @@ def test_csv_reads_back_as_the_json_rows(runner, tmp_path, cmd):
     assert rows == want
     if cmd != "sweep":
         assert {row[0] for row in rows} == set(names)
+        table = runner.invoke(main, [cmd, *args]).stdout
+        assert "\n\u001b[31mred: " in table
 
 
 def test_reader_closing_early_exits_1_quietly():
@@ -637,6 +673,65 @@ def test_reader_closing_early_exits_1_quietly():
     assert proc.returncode == 1
     assert b"error:" not in stderr
     assert b"Traceback" not in stderr
+
+
+def _child(args, stdout=subprocess.PIPE, **env):
+    """`python -m knotmeta.cli args` in a child process that imports this
+    checkout, with `env` added to its environment."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "knotmeta.cli", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["det", "-i", SEIFERT, "-f", "table"],
+        ["det", "-i", SEIFERT, "-f", "csv"],
+        ["det", "-i", SEIFERT, "-f", "json"],
+        ["tb-riley", "-p", "7", "-q", "3"],
+    ],
+    ids=["det-table", "det-csv", "det-json", "tb-riley"],
+)
+def test_closed_pipe_exits_1_quietly(args):
+    """A pipe whose reader is gone before the child starts: even a short
+    output ends in click's broken-pipe handling, exit 1 and empty stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = _child(args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 1
+    assert res.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "fmt, p, code, out, err",
+    [
+        ("table", 5, 0, "Möbius: 5\n", ""),
+        ("csv", 5, 0, "name,det\nMöbius,5\n", ""),
+        (
+            "table", 4, 2, "",
+            "error: record 0 (Möbius): p must be odd and >= 3, got 4\n",
+        ),
+    ],
+    ids=["table", "csv", "error"],
+)
+def test_ascii_stdout_prints_utf8_names(tmp_path, fmt, p, code, out, err):
+    """Under an ASCII stdout and stderr a name goes out as UTF-8 bytes, as
+    click.echo writes it, not as an encoding error."""
+    knots = tmp_path / "knots.json"
+    knots.write_text(json.dumps([_twobridge(name="Möbius", p=p)]))
+    res = _child(["det", "-i", str(knots), "-f", fmt], PYTHONIOENCODING="ascii")
+    want = (code, out.encode(), err.encode())
+    assert (res.returncode, res.stdout, res.stderr) == want
 
 
 def _twobridge(**fields):
