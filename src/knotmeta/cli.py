@@ -1,18 +1,18 @@
 """Command-line frontend: parse inputs, orchestrate computations, render
 deterministic reports.
 
-Each command builds its JSON rows once, as one dict or an iterable of
-dicts; `meta-enum`, `meta-verify` and `sweep` feed a generator, knot by
-knot, so no report is ever held whole. `_emit` writes every row as it
-comes, as JSON, table or CSV, through one stdout stream. Exit codes: 0
-success, 1 verification failure, 2 input error; `KnotmetaGroup` maps the
-package's errors to them in one place, and `_fail` writes every stderr
-line. Input is validated in full before the first byte goes out. JSON
-output is bit-stable (sorted keys, rationals rendered as "num/den" strings).
+Each command builds its JSON rows once, as one dict or an iterable of dicts;
+`meta-enum`, `meta-verify` and `sweep` feed a generator, knot by knot.
+`_emit` writes every row as it comes, as JSON, table or CSV, through one
+stdout stream, and `_fail` writes every stderr line. Exit codes: 0 success,
+1 verification failure, 2 input error, mapped from the package's errors in
+`KnotmetaGroup` alone. Input is validated in full before the first byte goes
+out. JSON output is bit-stable (sorted keys, rationals as "num/den" strings).
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -36,11 +36,29 @@ INPUT_ERRORS = (KnotDataError, apoly_mod.APolyError, IntLinAlgError)
 VERIFICATION_ERRORS = (riley.RileyError, metabelian.CensusError)
 
 
+def _stdout():
+    """The stdout stream of this invocation, shared by _emit and _fail: sys.stdout,
+    or if that is ASCII, a plain stream on its descriptor with the encoding and
+    errors of click.echo's wrapper, which would cost a Python call per write."""
+    meta = click.get_current_context().meta
+    if "knotmeta.stdout" not in meta:
+        out = click.get_text_stream("stdout", errors=None)
+        if out is not sys.stdout:
+            sys.stdout.flush()
+            with contextlib.suppress(OSError):  # no descriptor: keep the wrapper
+                fd, enc, err = sys.stdout.fileno(), out.encoding, out.errors
+                out = open(fd, "w", encoding=enc, errors=err, closefd=False)
+        meta["knotmeta.stdout"] = out
+    return meta["knotmeta.stdout"]
+
+
 def _fail(kind, exc):
-    """The one stderr line, `kind: exc`. stdout is flushed first, so in a
-    merged stream the line follows every row written before it."""
-    click.get_text_stream("stdout", errors=None).flush()
-    click.echo(f"{kind}: {exc}", err=True)
+    """The one stderr line, `kind: exc`, after a flush of stdout, so it follows
+    the rows before it in a merged stream; a closed stdout pipe does not drop it."""
+    try:
+        _stdout().flush()
+    finally:
+        click.echo(f"{kind}: {exc}", err=True)
 
 
 class KnotmetaGroup(click.Group):
@@ -119,15 +137,7 @@ def _row_template(row):
     same keys in the same insertion order, and values of the same exact
     types, as _json(r, "  ") does, and returns None for any other dict with
     those keys. None when `row` is empty or not flat: a key that is not a
-    str, or a value of a type _FLAT does not hold. For {"n": "K", "k": 3}
-    the function is
-
-        def fill(r):
-            v0, v1, = r.values()
-            if type(v0) is not t0 or type(v1) is not t1:
-                return None
-            return ''.join(('{\\n    "k": ', int.__repr__(v1), ',\\n    "n": ', e(v0), '\\n  }'))
-    """
+    str, or a value of a type _FLAT does not hold."""
     types = tuple(map(type, row.values()))
     if not row or any(type(k) is not str for k in row) or not all(
         t in _FLAT for t in types
@@ -185,10 +195,10 @@ def _json_rows(rows):
 def _emit(fmt, rows, line, columns=(), ok=True):
     """Write `rows`, one dict or an iterable of dicts, as JSON, as a table
     of `line(row)` strings, or, for flat rows, as CSV over `columns`, all
-    through the write of click.echo's stdout stream, with no flush per line.
-    An iterable is written as it yields and never held. After the last row,
-    exit 1 unless `ok` and no row reads "ok": false."""
-    write = click.get_text_stream("stdout", errors=None).write
+    through _stdout() with no flush per line, and an iterable as it yields.
+    One flush at the end lets a closed pipe fail inside the command, which
+    click exits 1 on; then exit 1 unless `ok` and no row reads "ok": false."""
+    write = _stdout().write
     single = type(rows) is dict
 
     def tally(rows):
@@ -208,6 +218,7 @@ def _emit(fmt, rows, line, columns=(), ok=True):
             line = lambda r: ",".join(_cell(r[k]) for k in columns)
         for r in rows:
             write(line(r) + "\n")
+    _stdout().flush()
     if not ok:
         sys.exit(1)
 
@@ -253,25 +264,18 @@ def det_cmd(path, fmt):
 @format_option("csv")
 def meta_count_cmd(path, fmt):
     """Number of irreducible metabelian characters, (det-1)/2."""
-    rows = [
-        {"name": K.name, "count": metabelian.count_metabelian(K)}
-        for K in load_knots(path)
-    ]
-    _emit(
-        fmt,
-        rows,
-        lambda r: str(r["count"]) if len(rows) == 1 else f"{r['name']}: {r['count']}",
-        ("name", "count"),
-    )
+    count = metabelian.count_metabelian
+    rows = [{"name": K.name, "count": count(K)} for K in load_knots(path)]
+    line = lambda r: str(r["count"]) if len(rows) == 1 else f"{r['name']}: {r['count']}"
+    _emit(fmt, rows, line, ("name", "count"))
 
 
 def _seifert_only(path):
     knots = load_knots(path)
     bad = [K.name for K in knots if not isinstance(K, SeifertKnot)]
     if bad:
-        raise KnotDataError(
-            f"records {bad} are not Seifert-matrix knots; enumeration needs V"
-        )
+        msg = "are not Seifert-matrix knots; enumeration needs V"
+        raise KnotDataError(f"records {bad} {msg}")
     return knots
 
 
@@ -286,12 +290,8 @@ def meta_enum_cmd(path, fmt):
         for K in knots
         for c in metabelian.enumerate_metabelian(K)
     )
-    _emit(
-        fmt,
-        rows,
-        lambda r: f"{r['name']}: ({', '.join(r['thetas'])}) order {r['order']}",
-        ("name", "thetas", "order"),
-    )
+    line = lambda r: f"{r['name']}: ({', '.join(r['thetas'])}) order {r['order']}"
+    _emit(fmt, rows, line, ("name", "thetas", "order"))
 
 
 def _class_line(r: dict) -> str:

@@ -675,20 +675,46 @@ def test_reader_closing_early_exits_1_quietly():
     assert b"Traceback" not in stderr
 
 
-def _child(args, stdout=subprocess.PIPE, **env):
+def _child(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, pre="", **env):
     """`python -m knotmeta.cli args` in a child process that imports this
-    checkout, with `env` added to its environment."""
+    checkout, or, given Python statements `pre`, main() run after them;
+    with `env` added to its environment. PYTHONUNBUFFERED is cleared, so
+    stdout is block-buffered as it is by default."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ["-c", pre + "from knotmeta.cli import main\nmain()"]
     return subprocess.run(
-        [sys.executable, "-m", "knotmeta.cli", *args],
+        [sys.executable, *(code if pre else ["-m", "knotmeta.cli"]), *args],
         stdout=stdout,
-        stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path, **env},
+        stderr=stderr,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "", **env},
         timeout=120,
     )
 
 
+# Python statements after which section_at_minus_one fails at S(5,3)
+_FAIL_AT_S53 = """
+from knotmeta import riley
+real = riley.section_at_minus_one
+def failing(K):
+    if K.name == "S(5,3)":
+        raise riley.RileyError(f"{K.name}: injected failure")
+    return real(K)
+riley.section_at_minus_one = failing
+"""
+
+
+def _into_closed_pipe(args, **kwargs):
+    """_child with stdout a pipe whose reader is gone before it starts."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _child(args, stdout=write_end, **kwargs)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
 @pytest.mark.parametrize(
     "args",
     [
@@ -699,17 +725,42 @@ def _child(args, stdout=subprocess.PIPE, **env):
     ],
     ids=["det-table", "det-csv", "det-json", "tb-riley"],
 )
-def test_closed_pipe_exits_1_quietly(args):
-    """A pipe whose reader is gone before the child starts: even a short
-    output ends in click's broken-pipe handling, exit 1 and empty stderr."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        res = _child(args, stdout=write_end)
-    finally:
-        os.close(write_end)
+def test_closed_pipe_exits_1_quietly(args, encoding):
+    """Even a short output to a closed pipe ends in click's broken-pipe
+    handling, exit 1 and empty stderr, through either stdout stream."""
+    res = _into_closed_pipe(args, PYTHONIOENCODING=encoding)
     assert res.returncode == 1
     assert res.stderr == b""
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_closed_pipe_keeps_the_failure_line(encoding):
+    """A knot that fails after rows a closed pipe refused still gets its
+    stderr line, and the run exits 1 through click's broken-pipe handling."""
+    argv = ["sweep", "--p-max", "5"]
+    res = _into_closed_pipe(argv, pre=_FAIL_AT_S53, PYTHONIOENCODING=encoding)
+    assert res.returncode == 1
+    assert res.stderr == b"verification failure: S(5,3): injected failure\n"
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_failure_line_follows_rows_in_one_pipe(encoding):
+    """With stdout and stderr on one pipe and stdout block-buffered, the
+    failure line follows the earlier rows, also under an ASCII stdout,
+    whose rows go through a UTF-8 stream of their own."""
+    res = _child(
+        ["sweep", "--p-max", "5"],
+        stderr=subprocess.STDOUT,
+        pre=_FAIL_AT_S53,
+        PYTHONIOENCODING=encoding,
+    )
+    assert res.returncode == 1
+    assert res.stdout.decode() == (
+        "S(3,1): det 3, count 1, riley deg 1, ok\n"
+        "S(5,1): det 5, count 2, riley deg 2, ok\n"
+        "verification failure: S(5,3): injected failure\n"
+        "S(5,3): FAIL S(5,3): injected failure\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -732,6 +783,20 @@ def test_ascii_stdout_prints_utf8_names(tmp_path, fmt, p, code, out, err):
     res = _child(["det", "-i", str(knots), "-f", fmt], PYTHONIOENCODING="ascii")
     want = (code, out.encode(), err.encode())
     assert (res.returncode, res.stdout, res.stderr) == want
+
+
+@pytest.mark.parametrize(
+    "fmt, out",
+    [("table", "Möbius: 5\n"), ("csv", "name,det\nMöbius,5\n")],
+    ids=["table", "csv"],
+)
+def test_ascii_stdout_without_descriptor(tmp_path, fmt, out):
+    """An ASCII stdout with no file descriptor still gets UTF-8 names,
+    through click's own wrapper."""
+    knots = tmp_path / "knots.json"
+    knots.write_text(json.dumps([_twobridge(name="Möbius")]))
+    res = CliRunner(charset="ascii").invoke(main, ["det", "-i", str(knots), "-f", fmt])
+    assert (res.exit_code, res.stdout_bytes) == (0, out.encode())
 
 
 def _twobridge(**fields):
