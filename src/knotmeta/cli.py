@@ -1,22 +1,24 @@
 """Command-line frontend: parse inputs, orchestrate computations, render
 deterministic reports.
 
-Each command builds its JSON rows once, as one dict or an iterable of dicts;
-`meta-enum`, `meta-verify` and `sweep` feed a generator, knot by knot.
-`_emit` writes every row as it comes, as JSON, table or CSV, through one
-stdout stream, and `_fail` writes every stderr line. Exit codes: 0 success,
-1 verification failure, 2 input error, mapped from the package's errors in
-`KnotmetaGroup` alone. Input is validated in full before the first byte goes
-out. JSON output is bit-stable (sorted keys, rationals as "num/den" strings).
+Each command states its options in its `command` registration; `main`
+builds the parser of the invoked command alone. A command builds its JSON
+rows once, as one dict or an iterable of dicts; `meta-enum`, `meta-verify`
+and `sweep` feed a generator, knot by knot. `_emit` writes every row as it
+comes, as JSON, table or CSV, to sys.stdout, and `_fail` writes every
+stderr line. Exit codes: 0 success, 1 verification failure, 2 input or
+usage error, mapped from the package's errors in `main` alone. Input is
+validated in full before the first byte goes out. JSON output is bit-stable
+(sorted keys, rationals as "num/den" strings).
 """
 
 from __future__ import annotations
 
-import contextlib
+import argparse
+import codecs
+import os
 import sys
 from json.encoder import encode_basestring_ascii
-
-import click
 
 from . import apoly as apoly_mod
 from . import metabelian, riley
@@ -36,44 +38,13 @@ INPUT_ERRORS = (KnotDataError, apoly_mod.APolyError, IntLinAlgError)
 VERIFICATION_ERRORS = (riley.RileyError, metabelian.CensusError)
 
 
-def _stdout():
-    """The stdout stream of this invocation, shared by _emit and _fail: sys.stdout,
-    or if that is ASCII, a plain stream on its descriptor with the encoding and
-    errors of click.echo's wrapper, which would cost a Python call per write."""
-    meta = click.get_current_context().meta
-    if "knotmeta.stdout" not in meta:
-        out = click.get_text_stream("stdout", errors=None)
-        if out is not sys.stdout:
-            sys.stdout.flush()
-            with contextlib.suppress(OSError):  # no descriptor: keep the wrapper
-                fd, enc, err = sys.stdout.fileno(), out.encoding, out.errors
-                out = open(fd, "w", encoding=enc, errors=err, closefd=False)
-        meta["knotmeta.stdout"] = out
-    return meta["knotmeta.stdout"]
-
-
 def _fail(kind, exc):
     """The one stderr line, `kind: exc`, after a flush of stdout, so it follows
     the rows before it in a merged stream; a closed stdout pipe does not drop it."""
     try:
-        _stdout().flush()
+        sys.stdout.flush()
     finally:
-        click.echo(f"{kind}: {exc}", err=True)
-
-
-class KnotmetaGroup(click.Group):
-    """The one error mapping: input errors exit 2, a failed identity or
-    census count exits 1, each with its message on stderr."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except INPUT_ERRORS as exc:
-            _fail("error", exc)
-            ctx.exit(2)
-        except VERIFICATION_ERRORS as exc:
-            _fail("verification failure", exc)
-            ctx.exit(1)
+        print(f"{kind}: {exc}", file=sys.stderr, flush=True)
 
 
 def _cell(value) -> str:
@@ -195,10 +166,10 @@ def _json_rows(rows):
 def _emit(fmt, rows, line, columns=(), ok=True):
     """Write `rows`, one dict or an iterable of dicts, as JSON, as a table
     of `line(row)` strings, or, for flat rows, as CSV over `columns`, all
-    through _stdout() with no flush per line, and an iterable as it yields.
-    One flush at the end lets a closed pipe fail inside the command, which
-    click exits 1 on; then exit 1 unless `ok` and no row reads "ok": false."""
-    write = _stdout().write
+    to sys.stdout with no flush per line, and an iterable as it yields. One
+    flush at the end lets a closed pipe fail inside the command, which main
+    exits 1 on; then exit 1 unless `ok` and no row reads "ok": false."""
+    write = sys.stdout.write
     single = type(rows) is dict
 
     def tally(rows):
@@ -218,7 +189,7 @@ def _emit(fmt, rows, line, columns=(), ok=True):
             line = lambda r: ",".join(_cell(r[k]) for k in columns)
         for r in rows:
             write(line(r) + "\n")
-    _stdout().flush()
+    sys.stdout.flush()
     if not ok:
         sys.exit(1)
 
@@ -227,41 +198,37 @@ def _pairs(row: dict) -> str:
     return "\n".join(f"{k}: {v}" for k, v in row.items())
 
 
-def format_option(*extra):
+# name -> (command function, the (flags, keywords) of each add_argument)
+_COMMANDS = {}
+
+
+def command(name, *options):
+    """Register the decorated function as command `name`, taking `options`."""
+    return lambda f: _COMMANDS.update({name: (f, options)}) or f
+
+
+_option = lambda *flags, **keywords: (flags, keywords)
+_flag = lambda name, help: _option(name, action="store_true", help=help)
+
+
+def _format(*extra):
     """-f/--format: table and json, plus `extra` for commands with flat rows."""
-    choice = click.Choice(["table", "json", *extra])
-    return click.option(
-        "-f", "--format", "fmt", type=choice, default="table", show_default=True
-    )
+    choices = ["table", "json", *extra]
+    return _option("-f", "--format", dest="fmt", choices=choices, default="table")
 
 
-input_option = click.option("-i", "--input", "path", required=True, type=click.Path())
+_INPUT = _option("-i", "--input", dest="path", required=True)
+_PQ = _option("-p", type=int, required=True), _option("-q", type=int, required=True)
 
 
-def two_bridge_options(f):
-    f = click.option("-q", "q", required=True, type=int)(f)
-    return click.option("-p", "p", required=True, type=int)(f)
-
-
-@click.group(cls=KnotmetaGroup)
-def main():
-    """Exact computation and cross-verification of metabelian SL(2,C)
-    characters, Riley sections of 2-bridge knots, and A-polynomial degree
-    bounds."""
-
-
-@main.command("det")
-@input_option
-@format_option("csv")
+@command("det", _INPUT, _format("csv"))
 def det_cmd(path, fmt):
     """Knot determinant |Delta_K(-1)| for each record in a knot file."""
     rows = [{"name": K.name, "det": determinant_of_knot(K)} for K in load_knots(path)]
     _emit(fmt, rows, lambda r: f"{r['name']}: {r['det']}", ("name", "det"))
 
 
-@main.command("meta-count")
-@input_option
-@format_option("csv")
+@command("meta-count", _INPUT, _format("csv"))
 def meta_count_cmd(path, fmt):
     """Number of irreducible metabelian characters, (det-1)/2."""
     count = metabelian.count_metabelian
@@ -279,9 +246,7 @@ def _seifert_only(path):
     return knots
 
 
-@main.command("meta-enum")
-@input_option
-@format_option("csv")
+@command("meta-enum", _INPUT, _format("csv"))
 def meta_enum_cmd(path, fmt):
     """Enumerate the metabelian character classes of Seifert-matrix knots."""
     knots = _seifert_only(path)
@@ -299,9 +264,7 @@ def _class_line(r: dict) -> str:
     return f"{r['knot']} ({', '.join(r['thetas'])}): {status}"
 
 
-@main.command("meta-verify")
-@input_option
-@format_option()
+@command("meta-verify", _INPUT, _format())
 def meta_verify_cmd(path, fmt):
     """Verify every enumerated class: relation, irreducibility, trace 0."""
     knots = _seifert_only(path)
@@ -313,10 +276,7 @@ def meta_verify_cmd(path, fmt):
     _emit(fmt, rows, _class_line)
 
 
-@main.command("tb-riley")
-@two_bridge_options
-@click.option("--roots", is_flag=True, help="include approximate real roots")
-@format_option()
+@command("tb-riley", *_PQ, _flag("--roots", "include approximate real roots"), _format())
 def tb_riley_cmd(p, q, roots, fmt):
     """The t = -1 Riley section of S(p,q): phi(-1,u), degrees, squarefreeness."""
     K = TwoBridge(name=f"S({p},{q})", p=p, q=q)
@@ -340,14 +300,11 @@ def tb_riley_cmd(p, q, roots, fmt):
     _emit(fmt, row, _pairs)
 
 
-@main.command("tb-verify")
-@two_bridge_options
-@click.option(
-    "--general-t",
-    is_flag=True,
-    help="also check the relator identity mod phi(t,u) over Z[t][u]",
+@command(
+    "tb-verify", *_PQ,
+    _flag("--general-t", "also check the relator identity mod phi(t,u) over Z[t][u]"),
+    _format(),
 )
-@format_option()
 def tb_verify_cmd(p, q, general_t, fmt):
     """Verify the relator and longitude identities of S(p,q) mod phi(-1,u)."""
     K = TwoBridge(name=f"S({p},{q})", p=p, q=q)
@@ -375,9 +332,7 @@ def _crosscheck_line(r: dict) -> str:
     )
 
 
-@main.command("tb-crosscheck")
-@two_bridge_options
-@format_option()
+@command("tb-crosscheck", *_PQ, _format())
 def tb_crosscheck_cmd(p, q, fmt):
     """Three-way count: distinct Riley roots = (p-1)/2 = metabelian census."""
     K = TwoBridge(name=f"S({p},{q})", p=p, q=q)
@@ -416,18 +371,14 @@ def _apoly_lines(r: dict) -> str:
     return "\n".join(lines)
 
 
-@main.command("apoly-analyze")
-@input_option
-@click.option(
-    "--det",
-    "det_value",
-    type=int,
-    help="knot determinant, enables the (l-1)-multiplicity conjecture probe",
+@command(
+    "apoly-analyze", _INPUT,
+    _option("--det", dest="det_value", type=int,
+            help="knot determinant, enables the (l-1)-multiplicity conjecture probe"),
+    _format(),
 )
-@format_option()
 def apoly_analyze_cmd(path, det_value, fmt):
-    """Analyze A-polynomial records: eval at sqrt(-1), Newton polygon,
-    degree bound, non-metabelian criteria."""
+    """Analyze A-polynomial records: eval at sqrt(-1), Newton polygon, criteria."""
     rows = [apoly_mod.analyze(A, det=det_value).to_dict() for A in load_apolys(path)]
     _emit(fmt, rows, _apoly_lines)
 
@@ -469,16 +420,64 @@ def _sweep_line(r: dict) -> str:
     )
 
 
-@main.command("sweep")
-@click.option("--p-max", "p_max", required=True, type=int)
-@click.option("--negative-q", is_flag=True, help="also sweep mirror pairs q < 0")
-@format_option("csv")
+@command(
+    "sweep",
+    _option("--p-max", type=int, required=True),
+    _flag("--negative-q", "also sweep mirror pairs q < 0"),
+    _format("csv"),
+)
 def sweep_cmd(p_max, negative_q, fmt):
     """Run the full verification battery for every S(p,q) with p <= p-max."""
     if p_max < 3 or p_max % 2 == 0:
         raise KnotDataError("p-max must be odd and >= 3")
     knots = all_two_bridge(p_max, include_negative_q=negative_q)
     _emit(fmt, map(_sweep_row, knots), _sweep_line, SWEEP_COLUMNS)
+
+
+def _parser(prog, description):
+    # a fixed width: usage and help text do not depend on $COLUMNS
+    fmt = lambda prog: argparse.RawDescriptionHelpFormatter(prog, width=80)
+    return argparse.ArgumentParser(
+        prog, description=description, allow_abbrev=False, formatter_class=fmt
+    )
+
+
+def main(args=None, prog_name="knotmeta"):
+    """Run the command args[0] (default sys.argv[1:]) on the rest of `args`;
+    exit 1 on a failed verification or a closed stdout, 2 on bad input."""
+    args = sys.argv[1:] if args is None else list(args)
+    for stream in sys.stdout, sys.stderr:
+        # an ASCII stream writes a name as UTF-8, not as an encoding error
+        if codecs.lookup(getattr(stream, "encoding", None) or "utf-8").name == "ascii":
+            stream.reconfigure(encoding="utf-8", errors="replace")
+    if not args or args[0] not in _COMMANDS:
+        listing = [f"\n  {name:<14} {f.__doc__}" for name, (f, _) in _COMMANDS.items()]
+        parser = _parser(prog_name, "commands:" + "".join(listing))
+        parser.add_argument("command", choices=_COMMANDS, metavar="command")
+        parser.parse_args(args[:1])  # exits: 0 on --help, else 2
+    f, options = _COMMANDS[args[0]]
+    parser = _parser(f"{prog_name} {args[0]}", f.__doc__)
+    for flags, keywords in options:
+        parser.add_argument(*flags, **keywords)
+    try:
+        try:
+            f(**vars(parser.parse_args(args[1:])))
+        except INPUT_ERRORS as exc:
+            _fail("error", exc)
+            sys.exit(2)
+        except VERIFICATION_ERRORS as exc:
+            _fail("verification failure", exc)
+            sys.exit(1)
+    except BrokenPipeError:
+        # exit 1 quietly; the flush at exit writes the rest to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        sys.exit(1)
+
+
+# perfbench/worker.py calls main.main(args=, prog_name=, standalone_mode=False)
+main.main = lambda args, prog_name, standalone_mode: main(args, prog_name)
 
 
 if __name__ == "__main__":

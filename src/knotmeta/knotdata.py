@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from typing import NamedTuple
 
 from .intlinalg import IntMat, det
@@ -158,6 +159,9 @@ def longitude_word(K: TwoBridge) -> GroupWord:
     return lam
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _parse_knot_record(obj, idx: int):
     # local import: APoly lives with the analyzer
     from .apoly import APoly, APolyError
@@ -165,11 +169,15 @@ def _parse_knot_record(obj, idx: int):
     if not isinstance(obj, dict):
         raise KnotDataError(f"record {idx}: expected a JSON object")
     kind = obj.get("type")
-    # a record without a string name is named by its index, as a nameless one
+    # a record without a string name is named by its index, as a nameless
+    # one; so is a name holding a lone surrogate, which has no UTF-8 bytes
     given = obj.get("name", f"record-{idx}")
-    name = given if type(given) is str else f"record-{idx}"
+    valid = type(given) is str and not _SURROGATE.search(given)
+    name = given if valid else f"record-{idx}"
     try:
         json_typed(given, "name", str)
+        if not valid:
+            raise KnotDataError(f"name holds a lone surrogate, got {json.dumps(given)}")
         if kind == "seifert":
             V = [[json_typed(x, "Seifert entry") for x in row] for row in obj["V"]]
             return SeifertKnot(name=name, V=IntMat(V))

@@ -7,8 +7,7 @@ import json
 import random
 import time
 
-from click.testing import CliRunner
-
+from cli_runner import CliRunner
 from knotmeta.apoly import (
     APoly,
     APolyError,

@@ -1,17 +1,24 @@
-"""The benchmark's tracer (perfbench/tracer.py) wraps knotmeta functions by
-name. A renamed or moved function would silently drop out of traced runs,
-so every name it lists must resolve here."""
+"""What the benchmark (perfbench/) relies on. Its tracer wraps knotmeta
+functions by name: a renamed or moved function would silently drop out of
+traced runs, so every name it lists must resolve here. Its worker calls
+`main.main(args=..., prog_name="knotmeta", standalone_mode=False)` with
+stdout an io.StringIO: if that call broke, every benchmark call would fail
+while the rest of the suite stayed green."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
 
 from knotmeta import apoly, exactalg, riley
+from knotmeta.cli import main
 from knotmeta.knotdata import builtin_apolys
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_targets():
@@ -50,3 +57,28 @@ def test_factor_profile_calls_per_analyze(monkeypatch):
         calls.clear()
         apoly.analyze(A, det=9)
         assert len(calls) == (4 if A.pq is not None else 3), A.name
+
+
+DATA = ROOT / "tests" / "data"
+
+
+@pytest.mark.parametrize(
+    "argv, recording",
+    [
+        (["meta-enum", "-i", str(DATA / "census" / "knots.json"), "-f", "json"],
+         DATA / "census" / "meta-enum.json"),
+        (["tb-riley", "-p", "15", "-q", "1", "--roots", "-f", "json"],
+         DATA / "tb_riley_roots" / "p15_q1.json"),
+    ],
+    ids=["census", "roots"],
+)
+def test_worker_entry_writes_what_main_writes(argv, recording):
+    outs = []
+    for call in (
+        lambda: main.main(args=argv, prog_name="knotmeta", standalone_mode=False),
+        lambda: main(argv),
+    ):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert call() is None  # the worker reads a return as exit 0
+        outs.append(out.getvalue())
+    assert outs[0] == outs[1] == recording.read_text()

@@ -8,10 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import CliRunner
 from knotmeta import cli, intlinalg, metabelian
 from knotmeta.cli import main
 from knotmeta.knotdata import fixture_path
@@ -609,7 +609,51 @@ def test_csv_is_a_usage_error_for_nested_rows(runner, args):
     res = runner.invoke(main, [*args, "-f", "csv"])
     assert res.exit_code == 2
     assert res.stdout == ""
-    assert "'csv' is not one of 'table', 'json'" in res.stderr
+    assert "argument -f/--format: invalid choice: 'csv'" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args, failing",
+    [
+        (["det", "-i", SEIFERT], False),
+        (["meta-count", "-i", SEIFERT], False),
+        (["meta-enum", "-i", SEIFERT], False),
+        (["meta-verify", "-i", SEIFERT], False),
+        (["sweep", "--p-max", "3"], False),
+        (["sweep", "--p-max", "3"], True),
+    ],
+    ids=["det", "meta-count", "meta-enum", "meta-verify", "sweep", "sweep-failing"],
+)
+def test_first_row_compiles_a_template(runner, monkeypatch, args, failing):
+    """The JSON rows of every command with a list of rows are flat, so the
+    first row compiles a template. Without one every row falls back to
+    _json: the bytes stay the same and only the time shows it."""
+    real = cli._row_template
+    compiled = []
+
+    def recording(row):
+        compiled.append(real(row))
+        return compiled[-1]
+
+    def failing_section(K):
+        raise RileyError(f"{K.name}: injected failure")
+
+    monkeypatch.setattr(cli, "_row_template", recording)
+    if failing:
+        monkeypatch.setattr(cli.riley, "section_at_minus_one", failing_section)
+    res = runner.invoke(main, [*args, "-f", "json"])
+    assert res.exit_code == int(failing)
+    assert ("error" in json.loads(res.stdout)[0]) == failing
+    assert len(compiled) == 1 and callable(compiled[0])
+
+
+def test_usage_text_does_not_depend_on_the_terminal(runner, monkeypatch):
+    """argparse wraps usage at $COLUMNS unless the width is fixed; at 40
+    columns the recorded tb-riley usage line would wrap over three lines."""
+    monkeypatch.setenv("COLUMNS", "40")
+    res = runner.invoke(main, ["tb-riley", "-p", "5"])
+    assert res.exit_code == 2
+    assert res.stderr == (RECORDED / "cli" / "tb-riley-usage-error.err").read_text()
 
 
 def _csv_cell(value) -> str:
@@ -647,7 +691,7 @@ def test_csv_reads_back_as_the_json_rows(runner, tmp_path, cmd):
 
 
 def test_reader_closing_early_exits_1_quietly():
-    """A reader that stops after a few bytes ends the run through click's
+    """A reader that stops after a few bytes ends the run through main's
     broken-pipe handling: exit 1 and nothing on stderr, as before the
     commands shared one error mapping."""
     fcntl = pytest.importorskip("fcntl")
@@ -673,6 +717,17 @@ def test_reader_closing_early_exits_1_quietly():
     assert proc.returncode == 1
     assert b"error:" not in stderr
     assert b"Traceback" not in stderr
+
+
+def test_interrupt_exits_1_quietly(runner, monkeypatch):
+    """Ctrl-C ends a run with exit 1 and nothing on stderr, no traceback."""
+
+    def interrupted(K):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.riley, "section_at_minus_one", interrupted)
+    res = runner.invoke(main, ["tb-riley", "-p", "5", "-q", "3"])
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", "")
 
 
 def _child(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, pre="", **env):
@@ -726,8 +781,8 @@ def _into_closed_pipe(args, **kwargs):
     ids=["det-table", "det-csv", "det-json", "tb-riley"],
 )
 def test_closed_pipe_exits_1_quietly(args, encoding):
-    """Even a short output to a closed pipe ends in click's broken-pipe
-    handling, exit 1 and empty stderr, through either stdout stream."""
+    """Even a short output to a closed pipe ends in main's broken-pipe
+    handling, exit 1 and empty stderr, under either stdout encoding."""
     res = _into_closed_pipe(args, PYTHONIOENCODING=encoding)
     assert res.returncode == 1
     assert res.stderr == b""
@@ -736,7 +791,7 @@ def test_closed_pipe_exits_1_quietly(args, encoding):
 @pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
 def test_closed_pipe_keeps_the_failure_line(encoding):
     """A knot that fails after rows a closed pipe refused still gets its
-    stderr line, and the run exits 1 through click's broken-pipe handling."""
+    stderr line, and the run exits 1 through main's broken-pipe handling."""
     argv = ["sweep", "--p-max", "5"]
     res = _into_closed_pipe(argv, pre=_FAIL_AT_S53, PYTHONIOENCODING=encoding)
     assert res.returncode == 1
@@ -747,7 +802,7 @@ def test_closed_pipe_keeps_the_failure_line(encoding):
 def test_failure_line_follows_rows_in_one_pipe(encoding):
     """With stdout and stderr on one pipe and stdout block-buffered, the
     failure line follows the earlier rows, also under an ASCII stdout,
-    whose rows go through a UTF-8 stream of their own."""
+    which main switches to UTF-8."""
     res = _child(
         ["sweep", "--p-max", "5"],
         stderr=subprocess.STDOUT,
@@ -776,8 +831,8 @@ def test_failure_line_follows_rows_in_one_pipe(encoding):
     ids=["table", "csv", "error"],
 )
 def test_ascii_stdout_prints_utf8_names(tmp_path, fmt, p, code, out, err):
-    """Under an ASCII stdout and stderr a name goes out as UTF-8 bytes, as
-    click.echo writes it, not as an encoding error."""
+    """Under an ASCII stdout and stderr a name goes out as UTF-8 bytes, not
+    as an encoding error."""
     knots = tmp_path / "knots.json"
     knots.write_text(json.dumps([_twobridge(name="Möbius", p=p)]))
     res = _child(["det", "-i", str(knots), "-f", fmt], PYTHONIOENCODING="ascii")
@@ -791,8 +846,8 @@ def test_ascii_stdout_prints_utf8_names(tmp_path, fmt, p, code, out, err):
     ids=["table", "csv"],
 )
 def test_ascii_stdout_without_descriptor(tmp_path, fmt, out):
-    """An ASCII stdout with no file descriptor still gets UTF-8 names,
-    through click's own wrapper."""
+    """An ASCII stdout with no file descriptor still gets UTF-8 names: the
+    stream itself is switched to UTF-8."""
     knots = tmp_path / "knots.json"
     knots.write_text(json.dumps([_twobridge(name="Möbius")]))
     res = CliRunner(charset="ascii").invoke(main, ["det", "-i", str(knots), "-f", fmt])
@@ -801,6 +856,10 @@ def test_ascii_stdout_without_descriptor(tmp_path, fmt, out):
 
 def _twobridge(**fields):
     return {"type": "twobridge", "name": "K", "p": 5, "q": 3, **fields}
+
+
+def _seifert(**fields):
+    return {"type": "seifert", "name": "K", "V": [[-1, 1], [0, -1]], **fields}
 
 
 def _apoly(**fields):
@@ -876,6 +935,31 @@ class TestStrictIngest:
         assert res.stdout == ""
         assert "error: record 1 (" in res.stderr
         assert message in res.stderr
+
+    @pytest.mark.parametrize(
+        "command, record, fmt",
+        [
+            pytest.param(command, record, fmt, id=f"{record['type']}-{fmt}")
+            for command, record, formats in [
+                ("det", _twobridge(name="K\ud800"), ("table", "csv", "json")),
+                ("det", _seifert(name="\udfffK"), ("table", "csv", "json")),
+                ("apoly-analyze", _apoly(name="A\udc00"), ("table", "json")),
+            ]
+            for fmt in formats
+        ],
+    )
+    def test_lone_surrogate_in_name(self, runner, tmp_path, command, record, fmt):
+        """A name holding a lone surrogate is valid JSON but has no UTF-8
+        bytes, so no format could write it: the record is refused, by index."""
+        path = tmp_path / "in.json"
+        good = _twobridge() if command != "apoly-analyze" else _apoly()
+        path.write_text(json.dumps([good, record]))
+        res = runner.invoke(main, [command, "-i", str(path), "-f", fmt])
+        assert (res.exit_code, res.stdout) == (2, "")
+        shown = json.dumps(record["name"])
+        assert res.stderr == (
+            f"error: record 1 (record-1): name holds a lone surrogate, got {shown}\n"
+        )
 
     def test_integers_accepted(self, runner, tmp_path):
         path = tmp_path / "in.json"

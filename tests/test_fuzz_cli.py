@@ -9,10 +9,10 @@ import itertools
 import json
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cli_runner import CliRunner
 from knotmeta.cli import main
 from knotmeta.knotdata import KnotDataError, load_apolys, load_knots, record_of
 

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 import sympy
-from click.testing import CliRunner
 
+from cli_runner import CliRunner
 from knotmeta import riley
 from knotmeta.cli import main
 from knotmeta.exactalg import _sign_at

@@ -3,11 +3,12 @@ keeps with NamedTuple records in place of dataclasses: immutable, copyable
 and picklable, validating on construction.
 
 Every CLI call pays for the import before it computes, so the CLI path
-loads no `dataclasses`, `fractions`, `decimal` or `importlib.resources`:
+loads no `dataclasses`, `fractions`, `decimal`, `importlib.resources` or
+`click` (argparse parses the arguments):
 `Fraction` is imported only by the library `thetas` properties and
 `importlib.resources` only by `knotdata.fixture_path`. The probe runs
-under `python -S`, so no `.pth` file in site-packages preloads a module;
-click alone loads none of the four.
+under `python -S` with only `src` on `sys.path`, so no `.pth` file in
+site-packages preloads a module and no third-party package can be loaded.
 """
 
 import copy
@@ -16,7 +17,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import click
 import pytest
 
 from knotmeta.apoly import APoly, APolyError, analyze
@@ -38,20 +38,19 @@ from knotmeta.riley import (
 )
 
 SRC = Path(__file__).parents[1] / "src"
-CLICK_DIR = Path(click.__file__).parents[1]
-HEAVY = ("dataclasses", "fractions", "decimal", "importlib.resources")
+HEAVY = ("dataclasses", "fractions", "decimal", "importlib.resources", "click")
 
 TREFOIL = SeifertKnot("3_1", IntMat([[-1, 1], [0, -1]]))
 
 
-def heavy_modules_after(statements: str) -> list:
-    """The modules of HEAVY loaded by a bare interpreter (-S) that runs
-    `statements` with src and click's directory first on sys.path."""
+def heavy_modules_after(statements: str, modules=HEAVY) -> list:
+    """The modules of `modules` loaded by a bare interpreter (-S) that runs
+    `statements` with src first on sys.path."""
     code = (
         "import sys\n"
-        f"sys.path[:0] = [{str(SRC)!r}, {str(CLICK_DIR)!r}]\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
         f"{statements}\n"
-        f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n"
+        f"print(' '.join(m for m in {tuple(modules)!r} if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -62,6 +61,19 @@ def heavy_modules_after(statements: str) -> list:
 
 def test_cli_import_loads_none_of_the_heavy_modules():
     assert heavy_modules_after("import knotmeta.cli") == []
+
+
+def test_in_process_call_loads_no_ascii_codec():
+    """A call whose stdout is an io.StringIO, as an in-process caller
+    captures it, has no encoding to check and loads no codec for one."""
+    call = (
+        "import contextlib, io\n"
+        "from knotmeta.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    main(['tb-riley', '-p', '5', '-q', '3', '--roots'])\n"
+        "assert out.getvalue().startswith('name: S(5,3)')"
+    )
+    assert heavy_modules_after(call, ["encodings.ascii"]) == []
 
 
 @pytest.mark.parametrize(
