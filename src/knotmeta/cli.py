@@ -2,14 +2,15 @@
 deterministic reports.
 
 Each command states its options in its `command` registration; `main`
-builds the parser of the invoked command alone. A command builds its JSON
-rows once, as one dict or an iterable of dicts; `meta-enum`, `meta-verify`
-and `sweep` feed a generator, knot by knot. `_emit` writes every row as it
-comes, as JSON, table or CSV, to sys.stdout, and `_fail` writes every
-stderr line. Exit codes: 0 success, 1 verification failure, 2 input or
-usage error, mapped from the package's errors in `main` alone. Input is
-validated in full before the first byte goes out. JSON output is bit-stable
-(sorted keys, rationals as "num/den" strings).
+builds the parser of the invoked command alone. A command's rows are one
+dict or an iterable: of dicts, or of the census classes of `meta-enum` and
+`meta-verify`, rendered straight from each class by one function per format.
+Those two and `sweep` feed a generator, knot by knot. `_emit` writes every
+row as it comes, as JSON, table or CSV, to sys.stdout, and `_fail` writes
+every stderr line. Exit codes: 0 success, 1 verification failure (after
+the rows), 2 input or usage error; `main` alone maps the package's errors.
+Input is validated in full before the first byte goes out. JSON output is
+bit-stable (sorted keys, rationals as "num/den" strings).
 """
 
 from __future__ import annotations
@@ -90,108 +91,33 @@ def _json(o, indent="") -> str:
     raise TypeError(f"{t.__name__} has no JSON rendering here")
 
 
-# The source text that renders a flat row's value {v} at indent "    ", by
-# the value's exact type: the types _json renders on one line, and a list,
-# which fits only if every element is a str.
-_FLAT = {
-    str: "e({v})",
-    bool: "('true' if {v} else 'false')",
-    int: "int.__repr__({v})",
-    type(None): "'null'",
-    list: "('[\\n      ' + ',\\n      '.join(map(e, {v})) + '\\n    ]'"
-    " if {v} else '[]')",
-}
-
-
-def _row_template(row):
-    """Compile `row`'s shape: a function that renders any dict with the
-    same keys in the same insertion order, and values of the same exact
-    types, as _json(r, "  ") does, and returns None for any other dict with
-    those keys. None when `row` is empty or not flat: a key that is not a
-    str, or a value of a type _FLAT does not hold."""
-    types = tuple(map(type, row.values()))
-    if not row or any(type(k) is not str for k in row) or not all(
-        t in _FLAT for t in types
-    ):
-        return None
-    n = len(types)
-    src = [
-        "def fill(r):",
-        "    " + "".join(f"v{i}, " for i in range(n)) + "= r.values()",
-        "    if " + " or ".join(f"type(v{i}) is not t{i}" for i in range(n)) + ":",
-        "        return None",
-    ]
-    for i, t in enumerate(types):
-        if t is list:
-            src += [
-                f"    for x in v{i}:",
-                "        if type(x) is not str:",
-                "            return None",
-            ]
-    # each key's encoded prefix, then its value's rendering, in key order
-    parts = []
-    seps = ["{\n    "] + [",\n    "] * (n - 1)
-    for sep, (k, i) in zip(seps, sorted(zip(row, range(n)))):
-        prefix = sep + encode_basestring_ascii(k) + ": "
-        parts += [repr(prefix), _FLAT[types[i]].format(v=f"v{i}")]
-    src.append("    return ''.join((" + ", ".join(parts) + r", '\n  }'))")
-    scope = {f"t{i}": t for i, t in enumerate(types)}
-    scope["e"] = encode_basestring_ascii
-    exec("\n".join(src), scope)
-    return scope["fill"]
-
-
-def _json_rows(rows):
-    """The bytes of _json(list(rows)) in pieces, one per row, taken from
-    `rows` as it yields. A template is compiled whenever a dict row's key
-    tuple differs from the previous dict row's; rows of that shape whose
-    values fit it are filled in, and every other row (not a dict, not
-    flat, or of other value types) goes through _json, which also raises
-    the TypeError for a type it has no rendering of."""
-    sep = "[\n  "
-    shape = fill = None
-    for r in rows:
-        piece = None
-        if type(r) is dict:
-            keys = tuple(r)
-            if keys != shape:
-                shape, fill = keys, _row_template(r)
-            if fill is not None:
-                piece = fill(r)
-        yield sep + (piece or _json(r, "  "))
-        sep = ",\n  "
-    yield "[]" if sep == "[\n  " else "\n]"
-
-
-def _emit(fmt, rows, line, columns=(), ok=True):
-    """Write `rows`, one dict or an iterable of dicts, as JSON, as a table
-    of `line(row)` strings, or, for flat rows, as CSV over `columns`, all
-    to sys.stdout with no flush per line, and an iterable as it yields. One
-    flush at the end lets a closed pipe fail inside the command, which main
-    exits 1 on; then exit 1 unless `ok` and no row reads "ok": false."""
+def _emit(fmt, rows, line, columns=()):
+    """Write `rows` to sys.stdout with no flush per line, an iterable as it
+    yields: one dict whole, else JSON array elements, table lines or CSV
+    lines under the header `columns`. `line` renders a table row, or is a
+    dict of a function per format over the defaults for dict rows: _json,
+    and `columns`' cells. One flush at the end lets a closed pipe fail
+    inside the command, which main exits 1 on."""
     write = sys.stdout.write
-    single = type(rows) is dict
-
-    def tally(rows):
-        nonlocal ok
+    render = {
+        "json": lambda r: _json(r, "  "),
+        "csv": lambda r: ",".join(_cell(r[k]) for k in columns),
+        **(line if type(line) is dict else {"table": line}),
+    }[fmt]
+    if type(rows) is dict:
+        write((_json(rows) if fmt == "json" else render(rows)) + "\n")
+    elif fmt == "json":
+        sep = "[\n  "
         for r in rows:
-            ok = ok and r.get("ok", True)
-            yield r
-
-    rows = tally([rows] if single else rows)
-    if fmt == "json":
-        for piece in map(_json, rows) if single else _json_rows(rows):
-            write(piece)
-        write("\n")
+            write(sep + render(r))
+            sep = ",\n  "
+        write("[]\n" if sep == "[\n  " else "\n]\n")
     else:
         if fmt == "csv":
             write(",".join(columns) + "\n")
-            line = lambda r: ",".join(_cell(r[k]) for k in columns)
         for r in rows:
-            write(line(r) + "\n")
+            write(render(r) + "\n")
     sys.stdout.flush()
-    if not ok:
-        sys.exit(1)
 
 
 def _pairs(row: dict) -> str:
@@ -246,34 +172,82 @@ def _seifert_only(path):
     return knots
 
 
+def _ratios(k, D) -> list:
+    """The thetas k/D of a census row. Census rows (a meta-enum (name,
+    MetabelianClass) pair, a meta-verify ClassReport) and measured sweep
+    rows render with _json's bytes and no dict walk; k is never empty, and
+    ratio_str gives -?[0-9]+(/[0-9]+)?, which JSON needs no escape for."""
+    return [ratio_str(x, D) for x in k]
+
+
+def _enum_json(row) -> str:
+    name, c = row
+    thetas = '",\n      "'.join(_ratios(*c))
+    return (
+        f'{{\n    "name": {encode_basestring_ascii(name)},\n    "order": {c.order},'
+        f'\n    "thetas": [\n      "{thetas}"\n    ]\n  }}'
+    )
+
+
+def _enum_line(row) -> str:
+    name, c = row
+    return f"{name}: ({', '.join(_ratios(*c))}) order {c.order}"
+
+
+def _enum_csv(row) -> str:
+    name, c = row
+    return f"{_cell(name)},{';'.join(_ratios(*c))},{c.order}"
+
+
 @command("meta-enum", _INPUT, _format("csv"))
 def meta_enum_cmd(path, fmt):
     """Enumerate the metabelian character classes of Seifert-matrix knots."""
     knots = _seifert_only(path)
-    rows = (
-        {"name": K.name, "thetas": [ratio_str(x, c.D) for x in c.k], "order": c.order}
-        for K in knots
-        for c in metabelian.enumerate_metabelian(K)
+    rows = ((K.name, c) for K in knots for c in metabelian.enumerate_metabelian(K))
+    render = {"json": _enum_json, "table": _enum_line, "csv": _enum_csv}
+    _emit(fmt, rows, render, ("name", "thetas", "order"))
+
+
+_bool = lambda b: "true" if b else "false"
+
+
+def _report_json(r) -> str:
+    knot, k, D, relation, irreducible, meridian, failures = r
+    thetas = '",\n      "'.join(_ratios(k, D))
+    failed = ",\n      ".join(map(encode_basestring_ascii, failures))
+    failed = f"[\n      {failed}\n    ]" if failures else "[]"
+    return (
+        f'{{\n    "failures": {failed},\n    "irreducible_ok": {_bool(irreducible)},'
+        f'\n    "knot": {encode_basestring_ascii(knot)},'
+        f'\n    "meridian_trace_zero": {_bool(meridian)},'
+        f'\n    "ok": {_bool(relation and irreducible and meridian)},'
+        f'\n    "relation_ok": {_bool(relation)},'
+        f'\n    "thetas": [\n      "{thetas}"\n    ]\n  }}'
     )
-    line = lambda r: f"{r['name']}: ({', '.join(r['thetas'])}) order {r['order']}"
-    _emit(fmt, rows, line, ("name", "thetas", "order"))
 
 
-def _class_line(r: dict) -> str:
-    status = "ok" if r["ok"] else "FAIL " + "; ".join(r["failures"])
-    return f"{r['knot']} ({', '.join(r['thetas'])}): {status}"
+def _report_line(r) -> str:
+    status = "ok" if r.ok else "FAIL " + "; ".join(r.failures)
+    return f"{r.knot} ({', '.join(_ratios(r.k, r.D))}): {status}"
 
 
 @command("meta-verify", _INPUT, _format())
 def meta_verify_cmd(path, fmt):
     """Verify every enumerated class: relation, irreducibility, trace 0."""
     knots = _seifert_only(path)
-    rows = (
-        metabelian.verify_class(K, c).to_dict()
-        for K in knots
-        for c in metabelian.enumerate_metabelian(K)
-    )
-    _emit(fmt, rows, _class_line)
+    failed = []
+
+    def reports():
+        for K in knots:
+            for c in metabelian.enumerate_metabelian(K):
+                r = metabelian.verify_class(K, c)
+                if not r.ok:
+                    failed.append(r)
+                yield r
+
+    _emit(fmt, reports(), {"json": _report_json, "table": _report_line})
+    if failed:
+        sys.exit(1)
 
 
 @command("tb-riley", *_PQ, _flag("--roots", "include approximate real roots"), _format())
@@ -321,7 +295,9 @@ def tb_verify_cmd(p, q, general_t, fmt):
     if general_t:
         row["relator_general_t_ok"] = riley.verify_relator_general_t(K).ok
         ok = ok and row["relator_general_t_ok"]
-    _emit(fmt, row, _pairs, ok=ok)
+    _emit(fmt, row, _pairs)
+    if not ok:
+        sys.exit(1)
 
 
 def _crosscheck_line(r: dict) -> str:
@@ -337,8 +313,10 @@ def tb_crosscheck_cmd(p, q, fmt):
     """Three-way count: distinct Riley roots = (p-1)/2 = metabelian census."""
     K = TwoBridge(name=f"S({p},{q})", p=p, q=q)
     sec = riley.section_at_minus_one(K)
-    row = riley.cross_check_counts(sec).to_dict()
-    _emit(fmt, row, _crosscheck_line)
+    report = riley.cross_check_counts(sec)
+    _emit(fmt, report.to_dict(), _crosscheck_line)
+    if not report.ok:
+        sys.exit(1)
 
 
 def _apoly_lines(r: dict) -> str:
@@ -387,10 +365,11 @@ SWEEP_HEADER = "name,p,q,det,meta_count,riley_deg,squarefree,relator_ok,longitud
 SWEEP_COLUMNS = SWEEP_HEADER.split(",")
 
 
-def _sweep_row(K: TwoBridge) -> dict:
+def _sweep_row(K: TwoBridge, failed: list) -> dict:
     """One knot's row: the section is computed once and shared by every
     check. A RileyError fails the row, not the run; its unmeasured columns
-    are null and the message goes to stderr and the row's "error"."""
+    are null and the message goes to stderr and the row's "error". A row
+    that is not ok is appended to `failed`."""
     row = {"name": K.name, "p": K.p, "q": K.q, "det": K.p}
     try:
         sec = riley.section_at_minus_one(K)
@@ -399,16 +378,32 @@ def _sweep_row(K: TwoBridge) -> dict:
         lon = riley.verify_longitude_mod_phi(sec)
     except riley.RileyError as exc:
         _fail("verification failure", exc)
-        return dict.fromkeys(SWEEP_COLUMNS) | row | {"ok": False, "error": str(exc)}
-    row.update(
-        meta_count=cross.metabelian_count,
-        riley_deg=sec.roots_count,
-        squarefree=sec.squarefree,
-        relator_ok=rel.ok,
-        longitude_ok=lon.ok,
-        ok=sec.squarefree and cross.ok and rel.ok and lon.ok,
-    )
+        row = dict.fromkeys(SWEEP_COLUMNS) | row | {"ok": False, "error": str(exc)}
+    else:
+        row.update(
+            meta_count=cross.metabelian_count,
+            riley_deg=sec.roots_count,
+            squarefree=sec.squarefree,
+            relator_ok=rel.ok,
+            longitude_ok=lon.ok,
+            ok=sec.squarefree and cross.ok and rel.ok and lon.ok,
+        )
+    if not row["ok"]:
+        failed.append(row)
     return row
+
+
+def _sweep_json(r: dict) -> str:
+    if "error" in r:  # a failing row, with null columns
+        return _json(r, "  ")
+    return (
+        f'{{\n    "det": {r["det"]},\n    "longitude_ok": {_bool(r["longitude_ok"])},'
+        f'\n    "meta_count": {r["meta_count"]},'
+        f'\n    "name": {encode_basestring_ascii(r["name"])},\n    "ok": {_bool(r["ok"])},'
+        f'\n    "p": {r["p"]},\n    "q": {r["q"]},'
+        f'\n    "relator_ok": {_bool(r["relator_ok"])},\n    "riley_deg": {r["riley_deg"]},'
+        f'\n    "squarefree": {_bool(r["squarefree"])}\n  }}'
+    )
 
 
 def _sweep_line(r: dict) -> str:
@@ -431,7 +426,11 @@ def sweep_cmd(p_max, negative_q, fmt):
     if p_max < 3 or p_max % 2 == 0:
         raise KnotDataError("p-max must be odd and >= 3")
     knots = all_two_bridge(p_max, include_negative_q=negative_q)
-    _emit(fmt, map(_sweep_row, knots), _sweep_line, SWEEP_COLUMNS)
+    failed = []
+    rows = (_sweep_row(K, failed) for K in knots)
+    _emit(fmt, rows, {"json": _sweep_json, "table": _sweep_line}, SWEEP_COLUMNS)
+    if failed:
+        sys.exit(1)
 
 
 def _parser(prog, description):

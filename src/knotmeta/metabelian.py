@@ -93,14 +93,6 @@ def _exact(thetas, knot: str = "") -> list:
     return thetas
 
 
-def canonical_rotation(thetas) -> tuple:
-    """Lexicographic minimum of {theta, -theta mod 1}, for exact entries
-    (int or Fraction)."""
-    thetas = tuple(t % 1 for t in _exact(thetas))
-    neg = tuple((-t) % 1 for t in thetas)
-    return min(thetas, neg)
-
-
 def enumerate_metabelian(K: SeifertKnot) -> list:
     """All metabelian classes of K, lexicographically sorted.
 
@@ -156,18 +148,6 @@ class ClassReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.relation_ok and self.irreducible_ok and self.meridian_trace_zero
-
-    def to_dict(self) -> dict:
-        knot, k, D, relation_ok, irreducible_ok, meridian_trace_zero, failures = self
-        return {
-            "knot": knot,
-            "thetas": [ratio_str(x, D) for x in k],
-            "relation_ok": relation_ok,
-            "irreducible_ok": irreducible_ok,
-            "meridian_trace_zero": meridian_trace_zero,
-            "ok": relation_ok and irreducible_ok and meridian_trace_zero,
-            "failures": list(failures),
-        }
 
 
 def verify_class(K: SeifertKnot, c) -> ClassReport:

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -624,27 +626,32 @@ def test_csv_is_a_usage_error_for_nested_rows(runner, args):
     ],
     ids=["det", "meta-count", "meta-enum", "meta-verify", "sweep", "sweep-failing"],
 )
-def test_first_row_compiles_a_template(runner, monkeypatch, args, failing):
-    """The JSON rows of every command with a list of rows are flat, so the
-    first row compiles a template. Without one every row falls back to
-    _json: the bytes stay the same and only the time shows it."""
-    real = cli._row_template
-    compiled = []
+def test_json_rows_take_their_renderer(runner, monkeypatch, args, failing):
+    """The census classes and the measured sweep rows render straight from
+    their fields, with no _json call at all; every other list row, a
+    failing sweep row too, takes one _json call (its nested values take
+    more). Either path bypassed keeps the bytes; only the time shows it."""
+    real = cli._json
+    indents = []
 
-    def recording(row):
-        compiled.append(real(row))
-        return compiled[-1]
+    def recording(o, indent=""):
+        indents.append(indent)
+        return real(o, indent)
 
     def failing_section(K):
         raise RileyError(f"{K.name}: injected failure")
 
-    monkeypatch.setattr(cli, "_row_template", recording)
+    monkeypatch.setattr(cli, "_json", recording)
     if failing:
         monkeypatch.setattr(cli.riley, "section_at_minus_one", failing_section)
     res = runner.invoke(main, [*args, "-f", "json"])
     assert res.exit_code == int(failing)
-    assert ("error" in json.loads(res.stdout)[0]) == failing
-    assert len(compiled) == 1 and callable(compiled[0])
+    rows = json.loads(res.stdout)
+    assert ("error" in rows[0]) == failing
+    if args[0] in ("meta-enum", "meta-verify") or args[0] == "sweep" and not failing:
+        assert indents == []
+    else:
+        assert indents.count("  ") == len(rows)
 
 
 def test_usage_text_does_not_depend_on_the_terminal(runner, monkeypatch):
@@ -665,15 +672,29 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+# names holding commas, quotes, a line break, an ANSI escape, a line
+# separator, a backslash and a character outside the BMP
+_ADVERSARIAL_NAMES = [
+    'a,"b"', "two\nlines", "3_1", "\u001b[31mred", "\u2028", "back\\slash", "\U0001f600"
+]
+
+
+def _adversarial_knots(tmp_path):
+    knots = tmp_path / "knots.json"
+    records = [
+        {"type": "seifert", "name": n, "V": [[-1, 1], [0, -1]]} for n in _ADVERSARIAL_NAMES
+    ]
+    knots.write_text(json.dumps(records))
+    return knots
+
+
 @pytest.mark.parametrize("cmd", ["sweep", "det", "meta-count", "meta-enum"])
 def test_csv_reads_back_as_the_json_rows(runner, tmp_path, cmd):
     """Every CSV row parses with csv.reader to the header's width, and its
-    cells are the JSON row's values; names hold commas, quotes, a line
-    break and an ANSI escape, which the table keeps too."""
-    knots = tmp_path / "knots.json"
-    names = ['a,"b"', "two\nlines", "3_1", "\u001b[31mred"]
-    records = [{"type": "seifert", "name": n, "V": [[-1, 1], [0, -1]]} for n in names]
-    knots.write_text(json.dumps(records))
+    cells are the JSON row's values, for every adversarial name, which the
+    table keeps too."""
+    knots = _adversarial_knots(tmp_path)
+    names = _ADVERSARIAL_NAMES
     args = ["--p-max", "9", "--negative-q"] if cmd == "sweep" else ["-i", str(knots)]
     out = {}
     for fmt in ("csv", "json"):
@@ -688,6 +709,22 @@ def test_csv_reads_back_as_the_json_rows(runner, tmp_path, cmd):
         assert {row[0] for row in rows} == set(names)
         table = runner.invoke(main, [cmd, *args]).stdout
         assert "\n\u001b[31mred: " in table
+
+
+@pytest.mark.parametrize("cmd", ["det", "meta-count", "meta-enum", "meta-verify"])
+def test_adversarial_names_in_json_and_table(runner, tmp_path, cmd):
+    """The JSON of every adversarial name parses and dumps again to the same
+    bytes, and the table holds one row per name, each starting on a line."""
+    args = ["-i", str(_adversarial_knots(tmp_path))]
+    res = runner.invoke(main, [cmd, *args, "-f", "json"])
+    assert res.exit_code == 0, res.output
+    rows = json.loads(res.stdout)
+    assert json.dumps(rows, sort_keys=True, indent=2) + "\n" == res.stdout
+    assert [r.get("name", r.get("knot")) for r in rows] == _ADVERSARIAL_NAMES
+    table = runner.invoke(main, [cmd, *args]).stdout
+    after = " (" if cmd == "meta-verify" else ": "
+    for n in _ADVERSARIAL_NAMES:
+        assert table.count("\n" + n + after) + table.startswith(n + after) == 1, n
 
 
 def test_reader_closing_early_exits_1_quietly():
@@ -984,53 +1021,21 @@ json_documents = st.recursive(
 )
 
 
-# Rows over a few key sets, so that shapes repeat. The values cover each
-# type a row template renders (str, int, bool, None, a list of str, []) and
-# ones it leaves to _json (a list holding an int, a nested dict).
-_ROW_KEYS = (
-    ("name", "thetas", "order"),
-    ("knot", "ok", "failures", "thetas"),
-    ("{0}", "}", '"\\', "\u00e9\U0001f600"),
-)
-_row_values = (
-    _json_text,
-    st.integers(),
-    st.booleans(),
-    st.none(),
-    st.lists(_json_text, min_size=1, max_size=3),
-    st.just([]),
-    st.lists(st.integers(), min_size=1, max_size=2),
-    st.dictionaries(_json_text, st.integers(), max_size=2),
-)
+def _emitted(fmt, rows, line, columns=()):
+    """stdout of cli._emit(fmt, rows, line, columns)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(fmt, rows, line, columns)
+    return out.getvalue()
 
 
 @st.composite
-def row_streams(draw):
-    """Up to three shapes, each a key order with a flat value kind per key;
-    every row takes one of them, and one row in four has one value of any
-    kind."""
-    shapes = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(_ROW_KEYS).flatmap(st.permutations),
-                st.lists(st.sampled_from(_row_values[:6]), min_size=4, max_size=4),
-            ),
-            min_size=1,
-            max_size=3,
-        )
-    )
-    rows = []
-    for _ in range(draw(st.integers(0, 8))):
-        keys, kinds = draw(st.sampled_from(shapes))
-        row = {k: draw(kind) for k, kind in zip(keys, kinds)}
-        if not draw(st.integers(0, 3)):
-            row[draw(st.sampled_from(keys))] = draw(st.one_of(_row_values))
-        rows.append(row)
-    return rows
-
-
-class _Str(str):
-    pass
+def census_classes(draw):
+    """A vector k of numerators over D, not all zero, with entries in
+    [0, D), as MetabelianClass requires."""
+    D = draw(st.integers(2, 10**6) | st.integers(2, 2**80))
+    k = draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=5))
+    return (tuple(k) if any(k) else (1, *k[1:])), D
 
 
 class TestJsonWriter:
@@ -1039,8 +1044,8 @@ class TestJsonWriter:
     def test_same_bytes_as_json_dumps(self, doc, rows):
         assert cli._json(doc) == json.dumps(doc, sort_keys=True, indent=2)
         # the streamed list writer, fed a generator of 0, 1 or more rows
-        streamed = "".join(cli._json_rows(r for r in rows))
-        assert streamed == json.dumps(rows, sort_keys=True, indent=2)
+        streamed = _emitted("json", (r for r in rows), None)
+        assert streamed == json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "doc",
@@ -1051,23 +1056,61 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             cli._json(doc)
 
-    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    @given(row_streams())
-    def test_row_templates_same_bytes_as_json_dumps(self, rows):
-        streamed = "".join(cli._json_rows(r for r in rows))
-        assert streamed == json.dumps(rows, sort_keys=True, indent=2)
-
-    @pytest.mark.parametrize(
-        "row",
-        [
-            {"name": "K", "thetas": ["1/3"], "order": 0.5},
-            {"name": _Str("K"), "thetas": ["1/3"], "order": 3},
-            {"name": "K", "thetas": [_Str("1/3")], "order": 3},
-            {"name": "K", "thetas": ["1/3"], 3: "order"},
-        ],
-        ids=["float", "str subclass", "str subclass in list", "int key"],
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(
+        _json_text,
+        census_classes(),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.lists(_json_text, max_size=3),
+        st.lists(st.integers(), min_size=6, max_size=6),
     )
-    def test_unfit_row_after_a_compiled_one_raises(self, row):
-        compiled = {"name": "K", "thetas": ["1/3"], "order": 3}
+    def test_row_renderers_same_bytes_as_json_dumps(
+        self, name, kD, relation, irreducible, meridian, failures, ints
+    ):
+        """Each census renderer against json.dumps of the row's dict, with
+        the thetas and the order read from Fractions, and the CSV row read
+        back as that dict's cells; and a measured sweep row against
+        json.dumps of itself."""
+        k, D = kD
+        thetas = [str(Fraction(x, D)) for x in k]
+        order = math.lcm(*(Fraction(x, D).denominator for x in k))
+        c = metabelian.MetabelianClass(k, D)
+        enum = {"name": name, "thetas": thetas, "order": order}
+        dumped = json.dumps([enum], sort_keys=True, indent=2)
+        assert "[\n  " + cli._enum_json((name, c)) + "\n]" == dumped
+        cells = next(csv.reader(io.StringIO(cli._enum_csv((name, c)), newline="")))
+        assert cells == [name, ";".join(thetas), str(order)]
+        report = metabelian.ClassReport(
+            name, k, D, relation, irreducible, meridian, tuple(failures)
+        )
+        verify = {
+            "knot": name,
+            "thetas": thetas,
+            "relation_ok": relation,
+            "irreducible_ok": irreducible,
+            "meridian_trace_zero": meridian,
+            "ok": relation and irreducible and meridian,
+            "failures": failures,
+        }
+        dumped = json.dumps([verify], sort_keys=True, indent=2)
+        assert "[\n  " + cli._report_json(report) + "\n]" == dumped
+        sweep = dict(zip(("p", "q", "det", "meta_count", "riley_deg", "x"), ints))
+        sweep.update(
+            name=name, squarefree=relation, relator_ok=irreducible, longitude_ok=meridian
+        )
+        sweep["ok"] = sweep.pop("x") % 2 == 0
+        dumped = json.dumps([sweep], sort_keys=True, indent=2)
+        assert "[\n  " + cli._sweep_json(sweep) + "\n]" == dumped
+
+    @pytest.mark.parametrize("name", [3, 1.5, None, b"3_1"], ids=repr)
+    def test_row_with_a_non_str_name_raises(self, name):
+        c = metabelian.MetabelianClass((1, 2), 3)
         with pytest.raises(TypeError):
-            "".join(cli._json_rows(iter([compiled, compiled, row])))
+            cli._enum_json((name, c))
+        with pytest.raises(TypeError):
+            cli._report_json(metabelian.ClassReport(name, (1, 2), 3, True, True, True))
+        sweep = dict.fromkeys(cli.SWEEP_COLUMNS, 1) | {"name": name, "ok": True}
+        with pytest.raises(TypeError):
+            cli._sweep_json(sweep)

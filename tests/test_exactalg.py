@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,13 @@ _ratio_ints = st.integers(-12, 12) | st.integers(-(2**130), 2**130)
 @given(_ratio_ints, _ratio_ints.filter(bool))
 def test_ratio_str_matches_fraction(num, den):
     assert ratio_str(num, den) == str(Fraction(num, den))
+
+
+@settings(derandomize=True, max_examples=400, database=None)
+@given(_ratio_ints, _ratio_ints.filter(bool))
+def test_ratio_str_needs_no_json_escape(num, den):
+    # the census row renderers put it between JSON quotes as it is
+    assert re.fullmatch(r"-?[0-9]+(/[0-9]+)?", ratio_str(num, den))
 
 
 def test_ratio_str_zero_denominator_raises():

@@ -11,7 +11,6 @@ from knotmeta.knotdata import KnotDataError, SeifertKnot, TwoBridge
 from knotmeta.metabelian import (
     CensusError,
     MetabelianClass,
-    canonical_rotation,
     count_metabelian,
     enumerate_metabelian,
     verify_class,
@@ -19,6 +18,14 @@ from knotmeta.metabelian import (
 
 TREFOIL = SeifertKnot("3_1", IntMat([[-1, 1], [0, -1]]))
 FIGURE8 = SeifertKnot("4_1", IntMat([[1, 1], [0, -1]]))
+
+
+def canonical_rotation(thetas) -> tuple:
+    """Lexicographic minimum of {theta, -theta mod 1}, for int or Fraction
+    entries: the oracle for the member of each pair that the enumeration
+    keeps."""
+    thetas = tuple(t % 1 for t in thetas)
+    return min(thetas, tuple((-t) % 1 for t in thetas))
 
 
 def random_seifert(rng, genus):
@@ -215,7 +222,7 @@ class TestVerifyClass:
                 f"3_1: rotation vector entry {i} is {theta[i]!r}, not an exact rational"
             )
         with pytest.raises(ValueError, match="entry 0 is 0.5"):
-            canonical_rotation((0.5, Fraction(1, 2)))
+            verify_class(TREFOIL, (0.5, Fraction(1, 2)))
 
     def test_boolean_entries_raise(self):
         # True has numerator 1 and denominator 1, but it is not a rational
@@ -228,7 +235,7 @@ class TestVerifyClass:
     def test_int_entries_reduce_like_fractions(self):
         mixed = verify_class(TREFOIL, (1, Fraction(-2, 3)))
         assert mixed == verify_class(TREFOIL, (Fraction(0), Fraction(1, 3)))
-        assert mixed.to_dict()["thetas"] == ["0", "1/3"]
+        assert (mixed.k, mixed.D) == ((0, 1), 3)
         assert verify_class(TREFOIL, (Fraction(4, 3), Fraction(-1, 3))).ok
 
     def test_zero_vector_fails_irreducibility(self):
