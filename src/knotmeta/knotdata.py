@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import cycle
 from typing import NamedTuple
 
 from .intlinalg import IntMat, det
@@ -112,11 +113,6 @@ class GroupWord(NamedTuple("GroupWord", [("letters", tuple)])):
     def exponent_sum(self) -> int:
         return sum(e for _g, e in self.letters)
 
-    @classmethod
-    def power(cls, gen: int, n: int) -> "GroupWord":
-        e = 1 if n >= 0 else -1
-        return cls(tuple((gen, e) for _ in range(abs(n))))
-
 
 def determinant_of_knot(K) -> int:
     """|Delta_K(-1)|, the knot determinant: |det(V + V^T)| for Seifert
@@ -135,26 +131,26 @@ def epsilon_sequence(K: TwoBridge) -> tuple:
     """e_i = (-1)^floor(i*q/p) for i = 1..p-1 (floor rounds toward -inf,
     which matters for negative q). The tuple is always a palindrome."""
     p, q = K.p, K.q
-    return tuple((-1) ** ((i * q) // p % 2) for i in range(1, p))
+    return tuple([(1, -1)[(i * q) // p & 1] for i in range(1, p)])
 
 
 def relator_word(K: TwoBridge) -> GroupWord:
-    """w = x1^{e_1} x2^{e_2} x1^{e_3} ... x2^{e_{p-1}}."""
-    eps = epsilon_sequence(K)
-    return GroupWord(
-        tuple((1 if i % 2 == 0 else 2, e) for i, e in enumerate(eps))
-    )
+    """w = x1^{e_1} x2^{e_2} x1^{e_3} ... x2^{e_{p-1}}. Letters made from
+    the e_i are valid, so the word is built without GroupWord's check."""
+    letters = tuple(zip(cycle((1, 2)), epsilon_sequence(K)))
+    return tuple.__new__(GroupWord, (letters,))
 
 
 def longitude_word(K: TwoBridge) -> GroupWord:
     """lambda = w^{-1} * wtilde * x1^{2*sigma}, where wtilde negates every
     exponent of w and sigma is the exponent sum of w. Null-homologous:
-    the total exponent sum is zero."""
+    the total exponent sum is zero. Built unchecked, as relator_word."""
     eps = epsilon_sequence(K)
-    wtilde = tuple((1 if i % 2 == 0 else 2, -e) for i, e in enumerate(eps))
+    wtilde = tuple(zip(cycle((1, 2)), [-e for e in eps]))
     sigma = sum(eps)
     # w^{-1} reverses w and negates every exponent: it is wtilde reversed
-    lam = GroupWord(wtilde[::-1] + wtilde + GroupWord.power(1, 2 * sigma).letters)
+    x1_power = ((1, 1 if sigma >= 0 else -1),) * abs(2 * sigma)
+    lam = tuple.__new__(GroupWord, (wtilde[::-1] + wtilde + x1_power,))
     assert lam.exponent_sum() == 0
     return lam
 

@@ -15,12 +15,19 @@ and P is the product of w's freely reduced word in <N1, N2> = Z/2 * Z/2.
 A reduced word alternates, so its first generator and its length fix P;
 each such P is built once and memoized. The relator of every S(p, +-q)
 reduces to (x1, p - 1) and the longitude to the empty word, so a sweep
-builds one relator matrix per p and none for the longitude. The power form
-(rho(x1) rho(x2))^{(p-1)/2} is memoized per p and the squarefree
-certificate per phi; every per-knot check still runs for each knot. M_w
-at t = -1 is the independent cross-check of the reduced route. On both
-routes a 2x2 matrix is the tuple (a, b, c, d), folded row by row with
-shift/add steps on exactalg's integer tuples.
+builds one relator matrix per p and none for the longitude. M_w at t = -1
+is the independent cross-check of the reduced route. On both routes a 2x2
+matrix is the tuple (a, b, c, d), folded row by row with shift/add steps
+on exactalg's integer tuples.
+
+Run for each knot: building its relator and longitude words from its own
+epsilon sequence, walking each word, comparing its relator matrix with
++-(rho(x1) rho(x2))^{(p-1)/2}, and the reports named for it. Run once per
+distinct value and memoized: the power form and phi(-1,u) with their
+degree, unit and squarefree checks (per p), the relator residues (per
+relator matrix and phi) and the longitude verdict (per k, P and phi). A
+knot whose walk gives another matrix misses the memo and gets its own
+verdict.
 
 A RileySection carries its knot, and the three t = -1 checks (relator,
 longitude, count cross-check) take the section as their one input, so
@@ -110,10 +117,9 @@ def riley_polynomial(K: TwoBridge) -> tuple:
 # ---------------------------------------------------------------------------
 # The squarefree certificate
 
-@lru_cache(maxsize=None)
 def _is_squarefree(phi: tuple) -> bool:
-    """Squarefreeness over Q of a monic integer polynomial, memoized per
-    phi: the modular certificate, else the exact gcd over Q."""
+    """Squarefreeness over Q of a monic integer polynomial: the modular
+    certificate, else the exact gcd over Q."""
     assert phi and phi[-1] == 1
     dphi = poly_derivative(phi)
     return _coprime_certified(phi, dphi) or len(poly_gcd(phi, dphi)) == 1
@@ -160,10 +166,9 @@ def _alternating_at_i(g: int, n: int):
     return A, B, C, D
 
 
-@lru_cache(maxsize=None)
 def _power_x1x2_at_i(n: int):
     """((rho(x1) rho(x2)) at t=-1)^n = [[-1-u,-1],[-u,-1]]^n, folded with
-    shift/add steps only; memoized per n."""
+    shift/add steps only."""
     A, B, C, D = (1,), (), (), (1,)
     for _ in range(n):
         # right-multiply by M = [[-1-u,-1],[-u,-1]]
@@ -187,56 +192,56 @@ class RileySection(NamedTuple):
     relator: tuple
 
 
+@lru_cache(maxsize=None)
+def _power_section(half: int):
+    """(power, phi): the power form (rho(x1) rho(x2))^half at t = -1 and
+    phi(-1,u) from its first row (w11, w12), after the degree, unit and
+    squarefree checks; memoized per half. lru_cache keeps no exception, so
+    a failure is raised again, without a knot's name, for each knot."""
+    w11, w12, _c, _d = power = _power_x1x2_at_i(half)
+    if len(w11) - 1 != half:
+        raise RileyError(f"deg w11(-1,u) = {len(w11) - 1}, expected {half}")
+    if len(w12) - 1 != half - 1:
+        raise RileyError(f"deg w12(-1,u) = {len(w12) - 1}, expected {half - 1}")
+    phi_raw = _iadd(w11, _iadd(w12, w12))
+    if not phi_raw or abs(phi_raw[-1]) != 1:
+        raise RileyError("phi(-1,u) leading coefficient is not a unit")
+    if len(phi_raw) - 1 != half:
+        raise RileyError(f"deg phi(-1,u) = {len(phi_raw) - 1}, expected {half}")
+    phi = _content_normalize(phi_raw)
+    if not _is_squarefree(phi):
+        # would contradict the distinctness of the (p-1)/2 solutions
+        raise RileyError(f"phi(-1,u) = {poly_str(phi)} is not squarefree")
+    return power, phi
+
+
 def section_at_minus_one(K: TwoBridge) -> RileySection:
     """Specialize the Riley apparatus at t = -1 and check every structural
-    claim: degrees (p-1)/2 and (p-3)/2, the product identity
-    rho(w) = (rho(x1) rho(x2))^{(p-1)/2}, unit leading coefficient, and
-    squarefreeness of phi(-1,u)."""
+    claim: degrees (p-1)/2 and (p-3)/2, unit leading coefficient and
+    squarefreeness of phi(-1,u) (once per p), and, for this knot, the
+    product identity rho(w) = (rho(x1) rho(x2))^{(p-1)/2}."""
     half = (K.p - 1) // 2
     k, relator = _holonomy_at_i(relator_word(K))
     if k % 2 != 0:
         raise RileyError(f"{K.name}: relator holonomy carries an odd power of i")
+    try:
+        power, phi = _power_section(half)
+    except RileyError as exc:
+        raise RileyError(f"{K.name}: {exc}") from None
 
     # i^k * relator must be the power form, whose first row is (w11, w12)
-    w11, w12, _c, _d = power = _power_x1x2_at_i(half)
     if (relator if k == 0 else tuple(map(_ineg, relator))) != power:
         raise RileyError(
             f"{K.name}: letter-product holonomy differs from the "
             f"(rho(x1)rho(x2))^{half} power form at t = -1"
         )
-
-    if len(w11) - 1 != half:
-        raise RileyError(
-            f"{K.name}: deg w11(-1,u) = {len(w11) - 1}, expected {half}"
-        )
-    if len(w12) - 1 != half - 1:
-        raise RileyError(
-            f"{K.name}: deg w12(-1,u) = {len(w12) - 1}, expected {half - 1}"
-        )
-
-    phi_raw = _iadd(w11, _iadd(w12, w12))
-    if not phi_raw or abs(phi_raw[-1]) != 1:
-        raise RileyError(f"{K.name}: phi(-1,u) leading coefficient is not a unit")
-    if len(phi_raw) - 1 != half:
-        raise RileyError(
-            f"{K.name}: deg phi(-1,u) = {len(phi_raw) - 1}, expected {half}"
-        )
-    phi = _content_normalize(phi_raw)
-
-    squarefree = _is_squarefree(phi)
-    if not squarefree:
-        # would contradict the distinctness of the (p-1)/2 solutions
-        raise RileyError(
-            f"{K.name}: phi(-1,u) = {poly_str(phi)} is not squarefree"
-        )
-
     return RileySection(
         knot=K,
         phi=phi,
-        w11=w11,
-        w12=w12,
+        w11=power[0],
+        w12=power[1],
         roots_count=len(phi) - 1,
-        squarefree=squarefree,
+        squarefree=True,
         relator=relator,
     )
 
@@ -262,7 +267,17 @@ class RelatorReport(NamedTuple):
 def verify_relator_mod_phi(section: RileySection) -> RelatorReport:
     """Check rho(w) rho(x1) = rho(x2) rho(w) entry-wise in the residue
     ring mod phi(-1,u), on the relator holonomy the section has built."""
-    A, B, C, D = section.relator
+    residues = _relator_residues(section.relator, section.phi)
+    return RelatorReport(
+        knot=section.knot.name, ok=not any(residues), residues=residues
+    )
+
+
+@lru_cache(maxsize=None)
+def _relator_residues(relator: tuple, phi: tuple) -> tuple:
+    """The four entries of P N1 - N2 P mod phi, P = relator: a pure
+    function of both, memoized per (relator, phi)."""
+    A, B, C, D = relator
     # rho(w)rho(x1) - rho(x2)rho(w) = i^{k+1} (P N1 - N2 P)
     lhs = (
         A,
@@ -276,12 +291,7 @@ def verify_relator_mod_phi(section: RileySection) -> RelatorReport:
         _isub(_ineg(_ishift(A)), C),
         _isub(_ineg(_ishift(B)), D),
     )
-    residues = tuple(
-        _irem_monic(_isub(l, r), section.phi) for l, r in zip(lhs, rhs)
-    )
-    return RelatorReport(
-        knot=section.knot.name, ok=not any(residues), residues=residues
-    )
+    return tuple(_irem_monic(_isub(l, r), phi) for l, r in zip(lhs, rhs))
 
 
 class LongitudeReport(NamedTuple):
@@ -298,19 +308,24 @@ def verify_longitude_mod_phi(section: RileySection) -> LongitudeReport:
     """Evaluate the longitude holonomy at t = -1 in the residue ring and
     report whether it is +id (the expected value, giving trace 2), -id,
     or neither."""
-    K, phi = section.knot, section.phi
-    k, (A, B, C, D) = _holonomy_at_i(longitude_word(K))
+    K = section.knot
+    k, P = _holonomy_at_i(longitude_word(K))
+    result, trace_is_two = _longitude_verdict(k, P, section.phi)
+    return LongitudeReport(knot=K.name, result=result, trace_is_two=trace_is_two)
+
+
+@lru_cache(maxsize=None)
+def _longitude_verdict(k: int, P: tuple, phi: tuple) -> tuple:
+    """(result, trace_is_two) for the holonomy i^k * P mod phi: a pure
+    function of the three, memoized per (k, P, phi)."""
     if k % 2 != 0:
-        return LongitudeReport(knot=K.name, result="neither", trace_is_two=False)
+        return "neither", False
     sign = 1 if k == 0 else -1
-    a, b, c, d = (
-        _irem_monic(tuple(sign * x for x in e), phi) for e in (A, B, C, D)
-    )
+    a, b, c, d = (_irem_monic(tuple(sign * x for x in e), phi) for e in P)
     result = "neither"
     if not b and not c and a == d and a in ((1,), (-1,)):
         result = "id" if a == (1,) else "-id"
-    trace = _irem_monic(_isub(_iadd(a, d), (2,)), phi)
-    return LongitudeReport(knot=K.name, result=result, trace_is_two=trace == ())
+    return result, _irem_monic(_isub(_iadd(a, d), (2,)), phi) == ()
 
 
 class CrossCheckReport(NamedTuple):
@@ -369,21 +384,20 @@ def _grid_cell(sqf: tuple, lo: int, hi: int, m: int, bits: int):
     with w = hi - lo, as (L_j, L_j + w, M): the cell that `bits` halvings
     of (lo, hi] end in, where a root on a midpoint closes the left half.
 
-    sqf changes sign at that root and nowhere else in (lo, hi], so an
-    exact sign at any point y of the interval says whether the root lies
-    beyond y: it does exactly when sqf has lo's sign there. The loop keeps
-    a bracket a < b of grid indices, the root beyond L_a and not beyond
-    L_b, and stops at b = a + 1. Its probes are Newton steps at points
-    Y/2^E, 2^-E under half a cell. A probe with lo's sign moves a to the
-    grid index at or below it; any other sign moves b to the index at or
-    above it. A zero step crosses the root by one unit. A probe outside
-    the bracket, a zero slope, or a step longer than one unit and more
-    than half the step before it give way to the bracket's middle (the
-    rtsafe safeguard, Numerical Recipes section 9.4); a probe already made
-    gives way to the exact sign of the middle grid point. Every move rests
-    on an exact sign, so the cell is the halving's."""
-    # lo is +-B/D or a nudged midpoint, and never a root, so lo_sign != 0
-    lo_sign = _sign_at(sqf, lo, m)
+    sqf changes sign at that root and nowhere else in (lo, hi], and the
+    caller passes it oriented positive at lo, so an exact sign at any
+    point y of the interval says whether the root lies beyond y: it does
+    exactly when sqf(y) > 0. The loop keeps a bracket a < b of grid
+    indices, the root beyond L_a and not beyond L_b, and stops at
+    b = a + 1. Its probes are Newton steps at points Y/2^E, 2^-E under
+    half a cell. A positive probe moves a to the grid index at or below
+    it; any other sign moves b to the index at or above it. A zero step
+    crosses the root by one unit. A probe outside the bracket, a zero
+    slope, or a step longer than one unit and more than half the step
+    before it give way to the bracket's middle (the rtsafe safeguard,
+    Numerical Recipes section 9.4); a probe already made gives way to the
+    exact sign of the middle grid point. Every move rests on an exact
+    sign, so the cell is the halving's."""
     w, M, base = hi - lo, m << bits, lo << bits
     E = (2 * M // w).bit_length()  # 2^-E < w / 2M
     W, B = w << E, base << E
@@ -395,7 +409,7 @@ def _grid_cell(sqf: tuple, lo: int, hi: int, m: int, bits: int):
             Y = ((2 * base + (a + b) * w) << E) // (2 * M)
         if Y in probed:
             j = (a + b) >> 1
-            if _sign_at(sqf, base + j * w, M) == lo_sign:
+            if _sign_at(sqf, base + j * w, M) > 0:
                 a = j
             else:
                 b = j
@@ -404,7 +418,7 @@ def _grid_cell(sqf: tuple, lo: int, hi: int, m: int, bits: int):
         probed.add(Y)
         F, G = _value_and_slope(sqf, Y, 1 << E)
         j, r = divmod(Y * M - B, W)
-        if F * lo_sign > 0:
+        if F > 0:
             a, cross = j, -1
         else:
             b, cross = j + (r > 0), 1
@@ -456,25 +470,30 @@ def approx_real_roots(phi: tuple):
 
     roots = []
     left, right = (-B, 0), (B, 0)
-    stack = [(left, changes(left), right, changes(right))]
+    # each interval carries sqf's sign at its left end, never a root: at
+    # -B/D, below every root, the sign of sqf's lead times (-1)^deg
+    left_sign = (-1) ** (len(sqf) - 1) * (1 if sqf[-1] > 0 else -1)
+    oriented = {1: sqf, -1: _ineg(sqf)}  # sqf times each sign
+    stack = [(left, changes(left), left_sign, right, changes(right))]
     while stack:
-        a, va, b, vb = stack.pop()
+        a, va, sa, b, vb = stack.pop()
         n = va - vb
         if n == 0:
             continue
         if n == 1:
             k = max(a[1], b[1])
             lo, hi, m = _grid_cell(
-                sqf, a[0] << (k - a[1]), b[0] << (k - b[1]), D << k, _GRID_BITS
+                oriented[sa], a[0] << (k - a[1]), b[0] << (k - b[1]), D << k,
+                _GRID_BITS,
             )
             roots.append((lo + hi) / (2 * m))
             continue
         mid = midpoint(a, b)
         # nudge off an exact root of phi
-        while sign(mid) == 0:
+        while not (sm := sign(mid)):
             mid = midpoint(a, mid)
         vm = changes(mid)
-        stack.extend([(a, va, mid, vm), (mid, vm, b, vb)])
+        stack.extend([(a, va, sa, mid, vm), (mid, vm, sm, b, vb)])
     roots.sort()
     complex_pairs = (len(f) - 1 - len(roots)) // 2
     return roots, complex_pairs

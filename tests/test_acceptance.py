@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import time
+from pathlib import Path
 
 from cli_runner import CliRunner
 from knotmeta.apoly import (
@@ -32,6 +33,9 @@ from knotmeta.riley import (
     verify_longitude_mod_phi,
     verify_relator_mod_phi,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def _report(label, elapsed, budget):
@@ -172,6 +176,9 @@ def test_sweep_p_le_101():
     t0 = time.monotonic()
     res = CliRunner().invoke(main, ["sweep", "--p-max", "101", "--negative-q", "-f", "json"])
     assert res.exit_code == 0, res.stderr
+    # the digest of the report as recorded before per-p sharing, 435 251 bytes
+    recorded = (DATA / "sweep" / "p101_negative_q.sha256").read_text().split()[0]
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == recorded
     rows = json.loads(res.stdout)
     knots = all_two_bridge(101, include_negative_q=True)
     assert len(rows) == len(knots)

@@ -126,6 +126,20 @@ class TestWords:
         for K in all_two_bridge(31, include_negative_q=True):
             assert longitude_word(K).exponent_sum() == 0
 
+    def test_unchecked_words_pass_the_letter_check(self):
+        # both words skip GroupWord's letter check; rebuilt through it, as
+        # w and w^-1 * wtilde * x1^(2 sigma), they are the same words
+        sigmas = set()
+        for K in all_two_bridge(31, include_negative_q=True):
+            w, lam = relator_word(K), longitude_word(K)
+            assert GroupWord(w.letters) == w, K.name
+            sigma = w.exponent_sum()
+            sigmas.add((sigma > 0) - (sigma < 0))
+            wtilde = GroupWord(tuple((g, -e) for g, e in w.letters))
+            tail = GroupWord(((1, 1 if sigma > 0 else -1),) * abs(2 * sigma))
+            assert w.inverse() * wtilde * tail == lam, K.name
+        assert sigmas == {-1, 0, 1}
+
     def test_inverse_cancels_exponent_sum(self):
         w = relator_word(tb(7, 5))
         assert (w * w.inverse()).exponent_sum() == 0

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from cli_runner import CliRunner
 from knotmeta import riley
+from knotmeta.cli import main
 from knotmeta.exactalg import (
     _CERT_PRIME,
     _badd,
@@ -52,7 +54,12 @@ def tb(p, q):
 def fresh_memos():
     """Start every test with empty t = -1 memos, so a test that counts the
     work behind a memoized call sees that work whatever ran before it."""
-    for memo in (riley._alternating_at_i, riley._power_x1x2_at_i, riley._is_squarefree):
+    for memo in (
+        riley._alternating_at_i,
+        riley._power_section,
+        riley._relator_residues,
+        riley._longitude_verdict,
+    ):
         memo.cache_clear()
 
 
@@ -350,6 +357,51 @@ class TestVerifyOps:
         A, B, C, D = sec.relator
         bad = sec._replace(relator=(A, B, _iadd(C, (1,)), D))
         assert not verify_relator_mod_phi(bad).ok
+
+
+class TestPerValueMemos:
+    """The power form and phi are memoized per p, the relator residues and
+    the longitude verdict per distinct value: a knot whose own data differ
+    misses the memo and gets its own verdict, and a failure, which no memo
+    keeps, names each knot it is raised for."""
+
+    def test_perturbed_relator_after_a_good_one(self):
+        sec = section_at_minus_one(tb(7, 1))
+        assert verify_relator_mod_phi(sec).ok
+        A, B, C, D = sec.relator
+        report = verify_relator_mod_phi(sec._replace(relator=(A, B, _iadd(C, (1,)), D)))
+        assert not report.ok
+        assert any(report.residues)
+
+    def test_longitude_of_one_knot_broken(self, monkeypatch):
+        real = riley.longitude_word
+
+        def broken(K):
+            w = real(K)
+            # x1 x2 appended to S(7,3)'s longitude only
+            return w * GroupWord(((1, 1), (2, 1))) if K.q == 3 else w
+
+        monkeypatch.setattr(riley, "longitude_word", broken)
+        assert verify_longitude_mod_phi(section_at_minus_one(tb(7, 1))).result == "id"
+        report = verify_longitude_mod_phi(section_at_minus_one(tb(7, 3)))
+        assert report.result == "neither"
+        assert not report.trace_is_two
+
+    def test_power_form_error_names_each_knot(self, monkeypatch):
+        real = riley._power_x1x2_at_i
+        # one factor too many: w11 of degree half + 1
+        monkeypatch.setattr(riley, "_power_x1x2_at_i", lambda n: real(n + 1))
+        for q in (1, 3, 1):
+            with pytest.raises(RileyError, match=rf"^S\(7,{q}\): deg w11\(-1,u\) = 4, expected 3$"):
+                section_at_minus_one(tb(7, q))
+
+    def test_sweep_shares_each_p(self):
+        # S(p, +-q) for 3 <= p <= 21: 94 knots over 10 values of p
+        res = CliRunner().invoke(main, ["sweep", "--p-max", "21", "--negative-q", "-f", "json"])
+        assert res.exit_code == 0, res.stderr
+        for memo in (riley._power_section, riley._relator_residues, riley._longitude_verdict):
+            info = memo.cache_info()
+            assert (info.misses, info.hits) == (10, 84), memo.__name__
 
 
 class TestSquarefreeCertificate:
