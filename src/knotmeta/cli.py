@@ -2,20 +2,20 @@
 deterministic reports.
 
 Each command states its options in its `command` registration; `main`
-builds the parser of the invoked command alone. A command's rows are one
-dict or an iterable: of dicts, or of the census classes of `meta-enum` and
+parses argv from that table; argparse parses what that parse refuses: help,
+usage errors, spellings such as --format=json. A command's rows are one dict
+or an iterable: of dicts, or of the census classes of `meta-enum` and
 `meta-verify`, rendered straight from each class by one function per format.
 Those two and `sweep` feed a generator, knot by knot. `_emit` writes every
 row as it comes, as JSON, table or CSV, to sys.stdout, and `_fail` writes
-every stderr line. Exit codes: 0 success, 1 verification failure (after
-the rows), 2 input or usage error; `main` alone maps the package's errors.
-Input is validated in full before the first byte goes out. JSON output is
+every stderr line. Exit codes: 0 success, 1 verification failure (after the
+rows), 2 input or usage error; `main` alone maps the package's errors. Input
+is validated in full before the first byte goes out. JSON output is
 bit-stable (sorted keys, rationals as "num/den" strings).
 """
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import os
 import sys
@@ -433,7 +433,43 @@ def sweep_cmd(p_max, negative_q, fmt):
         sys.exit(1)
 
 
+def _table_parse(options, argv):
+    """The keywords argparse parses from `argv` under `options` if argv gives
+    each flag at most once, as a separate token followed by one value of its
+    type and choices (none for store_true), and every required flag; else
+    None. A value starting with "-" must be a negative integer, which
+    argparse takes as a value since no flag looks like a negative number."""
+    table = {flag: (flags, kw) for flags, kw in options for flag in flags}
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token not in table or table[token][0] in given:
+            return None
+        flags, kw = table[token]
+        if kw.get("action") == "store_true":
+            given[flags] = True
+            continue
+        value = next(tokens, "-")  # no value left: "-", refused below
+        if value[:1] == "-" and not (value[1:].isdigit() and value.isascii()):
+            return None
+        try:
+            given[flags] = value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+    keywords = {}
+    for flags, kw in options:
+        if kw.get("required") and flags not in given:
+            return None
+        long = next((f for f in flags if f[:2] == "--"), flags[0]).lstrip("-")
+        default = False if kw.get("action") == "store_true" else kw.get("default")
+        keywords[kw.get("dest") or long.replace("-", "_")] = given.get(flags, default)
+    return keywords
+
+
 def _parser(prog, description):
+    import argparse  # here alone: argv that _table_parse takes needs none
     # a fixed width: usage and help text do not depend on $COLUMNS
     fmt = lambda prog: argparse.RawDescriptionHelpFormatter(prog, width=80)
     return argparse.ArgumentParser(
@@ -455,12 +491,15 @@ def main(args=None, prog_name="knotmeta"):
         parser.add_argument("command", choices=_COMMANDS, metavar="command")
         parser.parse_args(args[:1])  # exits: 0 on --help, else 2
     f, options = _COMMANDS[args[0]]
-    parser = _parser(f"{prog_name} {args[0]}", f.__doc__)
-    for flags, keywords in options:
-        parser.add_argument(*flags, **keywords)
+    keywords = _table_parse(options, args[1:])
+    if keywords is None:
+        parser = _parser(f"{prog_name} {args[0]}", f.__doc__)
+        for flags, kw in options:
+            parser.add_argument(*flags, **kw)
+        keywords = vars(parser.parse_args(args[1:]))
     try:
         try:
-            f(**vars(parser.parse_args(args[1:])))
+            f(**keywords)
         except INPUT_ERRORS as exc:
             _fail("error", exc)
             sys.exit(2)

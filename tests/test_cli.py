@@ -30,6 +30,13 @@ APOLYS = str(fixture_path("apolys.json"))
 CORPUS = str(fixture_path("two_bridge_p45.json"))
 RECORDED = Path(__file__).parent / "data"
 CLI_CASES = json.loads((RECORDED / "cli" / "cases.json").read_text())
+# what the placeholders of cases.json's argv stand for
+CLI_PATHS = {
+    "cli": str(RECORDED / "cli"),
+    "census": str(RECORDED / "census" / "knots.json"),
+    "seifert": SEIFERT,
+    "apolys": APOLYS,
+}
 
 
 @pytest.mark.parametrize("case", CLI_CASES, ids=[c["id"] for c in CLI_CASES])
@@ -38,13 +45,7 @@ def test_output_matches_recording(runner, case):
     keeps, and of one error case per command, recorded before the commands
     shared one renderer and one error mapping."""
     recorded = RECORDED / "cli"
-    paths = {
-        "cli": str(recorded),
-        "census": str(RECORDED / "census" / "knots.json"),
-        "seifert": SEIFERT,
-        "apolys": APOLYS,
-    }
-    res = runner.invoke(main, [a.format(**paths) for a in case["args"]])
+    res = runner.invoke(main, [a.format(**CLI_PATHS) for a in case["args"]])
     err = recorded / f"{case['id']}.err"
     assert res.exit_code == case["exit"]
     assert res.stdout == (recorded / f"{case['id']}.out").read_text()
@@ -661,6 +662,94 @@ def test_usage_text_does_not_depend_on_the_terminal(runner, monkeypatch):
     res = runner.invoke(main, ["tb-riley", "-p", "5"])
     assert res.exit_code == 2
     assert res.stderr == (RECORDED / "cli" / "tb-riley-usage-error.err").read_text()
+
+
+# values argparse reads its own way: signed, zero- and space-padded, and
+# non-ASCII digits, which int() takes; and junk, option-like tokens included
+_ODD_VALUES = ["-0", "007", "-007", " 5", "5 ", " -3", "-3 ", "+5", "1_0", "\u0663"]
+_ODD_VALUES += ["-\u0663", "\uff13", "\u00b2", "-\u00b2", "", "-", "--", "-x", "--x"]
+_ODD_VALUES += ["--roots", "--input", "--det", "-p", "-h", "a b", "-a b", "1.5", "-1.5"]
+_ODD_VALUES += ["json ", "JSON"]
+
+
+@st.composite
+def _argv(draw, options):
+    """An argv for one command: each option mostly once, else absent or
+    twice, mostly as two tokens, else =-joined or attached, with a value
+    mostly of its kind, else odd; at times help, "--" or an odd token too;
+    all shuffled."""
+    chunks = []
+    for flags, kw in options:
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2]))):
+            flag = draw(st.sampled_from(flags))
+            if kw.get("action") == "store_true":
+                chunks.append([flag])
+                continue
+            if "choices" in kw:
+                kind = st.sampled_from(kw["choices"])
+            elif kw.get("type") is int:
+                kind = st.integers(-30, 30).map(str)
+            else:
+                kind = st.sampled_from(["k.json", "dir/k.json"])
+            odd = st.sampled_from(_ODD_VALUES)
+            value = draw(draw(st.sampled_from([kind] * 3 + [odd] * 2 + [st.text(max_size=3)])))
+            spellings = [[flag, value]] * 6 + [[f"{flag}={value}"], [flag + value]]
+            chunks.append(draw(st.sampled_from(spellings)))
+    extra = st.sampled_from(["-h", "--help", "--", *_ODD_VALUES])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        chunks.append([draw(extra)])
+    return [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+
+
+def _typed(keywords: dict) -> dict:
+    return {k: (type(v), v) for k, v in keywords.items()}
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_table_parse_agrees_with_argparse(name, data):
+    """argparse is the oracle: where it exits (help or a usage error) the
+    table parse refuses argv, and where the table parse returns keywords
+    they are argparse's, with their types."""
+    f, options = cli._COMMANDS[name]
+    argv = data.draw(_argv(options))
+    table = cli._table_parse(options, argv)
+    parser = cli._parser(f"knotmeta {name}", f.__doc__)
+    for flags, kw in options:
+        parser.add_argument(*flags, **kw)
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            parsed = vars(parser.parse_args(argv))
+    except SystemExit:
+        assert table is None, argv
+    else:
+        assert table is None or _typed(table) == _typed(parsed), argv
+
+
+# the argv shapes of the benchmark's workloads
+_BENCH_ARGV = [
+    ["sweep", "--p-max", "21", "--negative-q", "-f", "json"],
+    ["tb-riley", "-p", "15", "-q", "-11", "--roots", "-f", "json"],
+    *([cmd, "-i", "{census}", "-f", "json"] for cmd in ("det", "meta-enum", "meta-verify")),
+    ["apoly-analyze", "-i", "{apolys}", "--det", "5", "-f", "json"],
+]
+
+
+@pytest.mark.parametrize(
+    "args", [c["args"] for c in CLI_CASES if c["exit"] == 0] + _BENCH_ARGV, ids=" ".join
+)
+def test_argv_takes_the_table_parse(runner, monkeypatch, args):
+    """Every recorded case that exits 0, and every argv the benchmark runs,
+    is parsed from the option table: argparse is never built."""
+
+    def refused(*_):
+        raise AssertionError("argparse was built")
+
+    monkeypatch.setattr(cli, "_parser", refused)
+    res = runner.invoke(main, [a.format(**CLI_PATHS) for a in args])
+    assert (res.exit_code, res.exception) == (0, None)
 
 
 def _csv_cell(value) -> str:

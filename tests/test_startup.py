@@ -4,9 +4,11 @@ and picklable, validating on construction.
 
 Every CLI call pays for the import before it computes, so the CLI path
 loads no `dataclasses`, `fractions`, `decimal`, `importlib.resources` or
-`click` (argparse parses the arguments):
-`Fraction` is imported only by the library `thetas` properties and
-`importlib.resources` only by `knotdata.fixture_path`. The probe runs
+`click`: `Fraction` is imported only by the library `thetas` properties and
+`importlib.resources` only by `knotdata.fixture_path`. A call whose argv
+the command's option table parses loads no `argparse`, `gettext` or
+`locale` either; argparse is imported only for help and usage errors.
+The probe runs
 under `python -S` with only `src` on `sys.path`, so no `.pth` file in
 site-packages preloads a module and no third-party package can be loaded.
 """
@@ -74,6 +76,48 @@ def test_in_process_call_loads_no_ascii_codec():
         "assert out.getvalue().startswith('name: S(5,3)')"
     )
     assert heavy_modules_after(call, ["encodings.ascii"]) == []
+
+
+ARGPARSE = ("argparse", "gettext", "locale")
+
+
+def test_table_parsed_call_loads_no_argparse():
+    call = (
+        "import contextlib, io\n"
+        "from knotmeta.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    main(['tb-riley', '-p', '5', '-q', '-3', '--roots'])\n"
+        "assert out.getvalue().startswith('name: S(5,-3)')"
+    )
+    assert heavy_modules_after("import knotmeta.cli", ARGPARSE) == []
+    assert heavy_modules_after(call, ARGPARSE) == []
+
+
+@pytest.mark.parametrize(
+    "args, code, stderr",
+    [
+        (["tb-riley", "--help"], 0, ""),
+        (
+            ["tb-riley", "-p", "5"],
+            2,
+            (SRC.parent / "tests/data/cli/tb-riley-usage-error.err").read_text(),
+        ),
+    ],
+    ids=["help", "usage-error"],
+)
+def test_help_and_usage_errors_load_argparse(args, code, stderr):
+    call = (
+        "import contextlib, io\n"
+        "from knotmeta.cli import main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "    try:\n"
+        f"        main({args!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        f"assert (code, err.getvalue()) == ({code!r}, {stderr!r}), err.getvalue()"
+    )
+    assert "argparse" in heavy_modules_after(call, ARGPARSE)
 
 
 @pytest.mark.parametrize(
