@@ -99,6 +99,8 @@ class APoly(NamedTuple):
             )
         if pq is not None:
             pq = tuple(_integer(name, x) for x in pq)
+            if len(pq) != 2:
+                raise APolyError(f"{name}: two-bridge tag must be (p, q), got {pq}")
             TwoBridge(name, *pq)  # KnotDataError unless S(p, q) is a knot
         return cls(name=name, terms=tuple(items), pq=pq, small_flag=small_flag)
 

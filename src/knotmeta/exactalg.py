@@ -52,24 +52,11 @@ def poly_derivative(a: tuple) -> tuple:
     return tuple(k * x for k, x in enumerate(a))[1:]
 
 
-def _irem_monic(a: tuple, phi: tuple) -> tuple:
-    """Remainder of a by a monic integer polynomial phi; stays over Z."""
-    assert phi and phi[-1] == 1
-    d = len(phi) - 1
-    rem = list(a)
-    for k in range(len(rem) - 1, d - 1, -1):
-        c = rem[k]
-        if not c:
-            continue
-        for j in range(d + 1):
-            rem[k - d + j] -= c * phi[j]
-    return _trim(rem[: d])
-
-
 def _iprem(a: tuple, b: tuple) -> tuple:
     """A positive integer multiple of the remainder of a by b over Q: each
     elimination step scales by |lc(b)|, never by a negative number, so the
-    result has the sign of the true remainder at every point."""
+    result has the sign of the true remainder at every point. For a monic
+    b it is the remainder itself, over Z."""
     d = len(b) - 1
     scale = abs(b[-1])
     sign = 1 if b[-1] > 0 else -1

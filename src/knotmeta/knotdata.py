@@ -128,7 +128,7 @@ def determinant_of_knot(K) -> int:
     raise TypeError(f"expected SeifertKnot or TwoBridge, got {type(K).__name__}")
 
 
-@lru_cache(maxsize=4)  # relator_word and longitude_word of one knot share it
+@lru_cache(maxsize=1)  # relator_word and longitude_word of one knot share it
 def epsilon_sequence(K: TwoBridge) -> tuple:
     """e_i = (-1)^floor(i*q/p) for i = 1..p-1 (floor rounds toward -inf,
     which matters for negative q). The tuple is always a palindrome."""

@@ -14,20 +14,21 @@ so rho(w) = i^k * P, where k counts letters (x_g -> 1, x_g^-1 -> 3, mod 4)
 and P is the product of w's freely reduced word in <N1, N2> = Z/2 * Z/2.
 A reduced word alternates, so its first generator and its length fix P;
 each such P is built once and memoized. The relator of every S(p, +-q)
-reduces to (x1, p - 1) and the longitude to the empty word, so a sweep
-builds one relator matrix per p and none for the longitude. M_w at t = -1
-is the independent cross-check of the reduced route. On both routes a 2x2
-matrix is the tuple (a, b, c, d), folded row by row with shift/add steps
-on exactalg's integer tuples.
+reduces to (x1, p - 1) and the longitude to the empty word, and the power
+form (rho(x1) rho(x2))^{(p-1)/2} is that relator product times
+(-1)^{(p-1)/2}, so a sweep builds one matrix per p and none for the
+longitude. M_w at t = -1 is the independent cross-check of the reduced
+route. On both routes a 2x2 matrix is the tuple (a, b, c, d), folded row
+by row with shift/add steps on exactalg's integer tuples.
 
 Run for each knot: building its relator and longitude words from its own
-epsilon sequence, walking each word, comparing its relator matrix with
-+-(rho(x1) rho(x2))^{(p-1)/2}, and the reports named for it. Run once per
-distinct value and memoized: the power form and phi(-1,u) with their
-degree, unit and squarefree checks (per p), the relator residues (per
-relator matrix and phi) and the longitude verdict (per k, P and phi). A
-knot whose walk gives another matrix misses the memo and gets its own
-verdict.
+epsilon sequence, walking each word, checking that its relator walk gives
+the memoized product with the power form's unit, and the reports named
+for it. Run once per distinct value and memoized: the power form's first
+row and phi(-1,u) with their degree, unit and squarefree checks (per p),
+the relator residues (per relator matrix and phi) and the longitude
+verdict (per k, P and phi). A knot whose walk gives another matrix misses
+the memo and gets its own verdict.
 
 A RileySection carries its knot, and the three t = -1 checks (relator,
 longitude, count cross-check) take the section as their one input, so
@@ -52,7 +53,6 @@ from .exactalg import (
     _ineg,
     _iprem,
     _iquo_exact,
-    _irem_monic,
     _ishift,
     _isub,
     _primitive,
@@ -166,17 +166,6 @@ def _alternating_at_i(g: int, n: int):
     return A, B, C, D
 
 
-def _power_x1x2_at_i(n: int):
-    """((rho(x1) rho(x2)) at t=-1)^n = [[-1-u,-1],[-u,-1]]^n, folded with
-    shift/add steps only."""
-    A, B, C, D = (1,), (), (), (1,)
-    for _ in range(n):
-        # right-multiply by M = [[-1-u,-1],[-u,-1]]
-        A, B = _isub(_ineg(A), _ishift(_iadd(A, B))), _ineg(_iadd(A, B))
-        C, D = _isub(_ineg(C), _ishift(_iadd(C, D))), _ineg(_iadd(C, D))
-    return A, B, C, D
-
-
 # ---------------------------------------------------------------------------
 # The t = -1 section
 
@@ -194,11 +183,17 @@ class RileySection(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _power_section(half: int):
-    """(power, phi): the power form (rho(x1) rho(x2))^half at t = -1 and
-    phi(-1,u) from its first row (w11, w12), after the degree, unit and
-    squarefree checks; memoized per half. lru_cache keeps no exception, so
-    a failure is raised again, without a knot's name, for each knot."""
-    w11, w12, _c, _d = power = _power_x1x2_at_i(half)
+    """(w11, w12, phi): the first row of the power form
+    (rho(x1) rho(x2))^half at t = -1 and phi(-1,u) from it, after the
+    degree, unit and squarefree checks; memoized per half.
+
+    rho(x1) rho(x2) = i^2 N1 N2, so the power form is (-1)^half times the
+    memoized alternating product of 2*half factors from N1, the matrix the
+    relator walk of every S(p, +-q) returns. lru_cache keeps no exception,
+    so a failure is raised again, without a knot's name, for each knot."""
+    w11, w12, _c, _d = _alternating_at_i(1, 2 * half)
+    if half % 2:
+        w11, w12 = _ineg(w11), _ineg(w12)
     if len(w11) - 1 != half:
         raise RileyError(f"deg w11(-1,u) = {len(w11) - 1}, expected {half}")
     if len(w12) - 1 != half - 1:
@@ -212,7 +207,7 @@ def _power_section(half: int):
     if not _is_squarefree(phi):
         # would contradict the distinctness of the (p-1)/2 solutions
         raise RileyError(f"phi(-1,u) = {poly_str(phi)} is not squarefree")
-    return power, phi
+    return w11, w12, phi
 
 
 def section_at_minus_one(K: TwoBridge) -> RileySection:
@@ -225,12 +220,13 @@ def section_at_minus_one(K: TwoBridge) -> RileySection:
     if k % 2 != 0:
         raise RileyError(f"{K.name}: relator holonomy carries an odd power of i")
     try:
-        power, phi = _power_section(half)
+        w11, w12, phi = _power_section(half)
     except RileyError as exc:
         raise RileyError(f"{K.name}: {exc}") from None
 
-    # i^k * relator must be the power form, whose first row is (w11, w12)
-    if (relator if k == 0 else tuple(map(_ineg, relator))) != power:
+    # i^k * relator must be the power form (-1)^half * N1 N2 ... N2: the
+    # memoized product itself, with k = 2*half mod 4
+    if k != (2 * half) % 4 or relator != _alternating_at_i(1, 2 * half):
         raise RileyError(
             f"{K.name}: letter-product holonomy differs from the "
             f"(rho(x1)rho(x2))^{half} power form at t = -1"
@@ -238,8 +234,8 @@ def section_at_minus_one(K: TwoBridge) -> RileySection:
     return RileySection(
         knot=K,
         phi=phi,
-        w11=power[0],
-        w12=power[1],
+        w11=w11,
+        w12=w12,
         roots_count=len(phi) - 1,
         squarefree=True,
         relator=relator,
@@ -276,7 +272,8 @@ def verify_relator_mod_phi(section: RileySection) -> RelatorReport:
 @lru_cache(maxsize=None)
 def _relator_residues(relator: tuple, phi: tuple) -> tuple:
     """The four entries of P N1 - N2 P mod phi, P = relator: a pure
-    function of both, memoized per (relator, phi)."""
+    function of both, memoized per (relator, phi). phi is monic, so
+    _iprem gives the exact remainders."""
     A, B, C, D = relator
     # rho(w)rho(x1) - rho(x2)rho(w) = i^{k+1} (P N1 - N2 P)
     lhs = (
@@ -291,7 +288,7 @@ def _relator_residues(relator: tuple, phi: tuple) -> tuple:
         _isub(_ineg(_ishift(A)), C),
         _isub(_ineg(_ishift(B)), D),
     )
-    return tuple(_irem_monic(_isub(l, r), phi) for l, r in zip(lhs, rhs))
+    return tuple(_iprem(_isub(l, r), phi) for l, r in zip(lhs, rhs))
 
 
 class LongitudeReport(NamedTuple):
@@ -321,11 +318,11 @@ def _longitude_verdict(k: int, P: tuple, phi: tuple) -> tuple:
     if k % 2 != 0:
         return "neither", False
     sign = 1 if k == 0 else -1
-    a, b, c, d = (_irem_monic(tuple(sign * x for x in e), phi) for e in P)
+    a, b, c, d = (_iprem(tuple(sign * x for x in e), phi) for e in P)
     result = "neither"
     if not b and not c and a == d and a in ((1,), (-1,)):
         result = "id" if a == (1,) else "-id"
-    return result, _irem_monic(_isub(_iadd(a, d), (2,)), phi) == ()
+    return result, _iprem(_isub(_iadd(a, d), (2,)), phi) == ()
 
 
 class CrossCheckReport(NamedTuple):

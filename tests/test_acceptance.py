@@ -191,6 +191,17 @@ def test_sweep_p_le_101():
     _report("sweep --p-max 101 --negative-q", time.monotonic() - t0, 2)
 
 
+def test_sweep_p_le_201():
+    t0 = time.monotonic()
+    res = CliRunner().invoke(main, ["sweep", "--p-max", "201", "--negative-q", "-f", "json"])
+    assert res.exit_code == 0, res.stderr
+    # the digest of the report as recorded while the power form was a fold
+    # of its own, 1 735 943 bytes
+    recorded = (DATA / "sweep" / "p201_negative_q.sha256").read_text().split()[0]
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == recorded
+    _report("sweep --p-max 201 --negative-q", time.monotonic() - t0, 5)
+
+
 def test_8_20_fixture_numbers():
     t0 = time.monotonic()
     A = fixture_apoly("8_20")

@@ -15,7 +15,7 @@ from knotmeta.exactalg import (
     _bsub,
     _iadd,
     _imul,
-    _irem_monic,
+    _iprem,
     _ishift,
     _isub,
     _trim,
@@ -85,19 +85,21 @@ class TestUniPoly:
         assert poly_derivative((7,)) == ()
         assert poly_derivative((0, 0, 0, 1)) == (0, 0, 3)
 
+    # by a monic divisor _iprem scales by 1: the exact remainder over Z
     def test_rem_linear(self):
-        assert _irem_monic((0, 0, 1), (3, 1)) == (9,)
+        assert _iprem((0, 0, 1), (3, 1)) == (9,)
 
     def test_rem_self(self):
         phi = (5, 5, 1)
-        assert _irem_monic(phi, phi) == ()
+        assert _iprem(phi, phi) == ()
 
     def test_rem_cubic(self):
-        assert _irem_monic((0, 0, 0, 1), (5, 5, 1)) == (25, 20)
+        assert _iprem((0, 0, 0, 1), (5, 5, 1)) == (25, 20)
 
     def test_rem_by_zero_raises(self):
-        with pytest.raises(AssertionError):
-            _irem_monic((1, 1), ())
+        # the zero polynomial has no leading coefficient
+        with pytest.raises(IndexError):
+            _iprem((1, 1), ())
 
     def test_str(self):
         assert poly_str((5, 5, 1)) == "(1)*u^2 + (5)*u + (5)"
@@ -210,7 +212,7 @@ def test_unipoly_degree_additivity(p, q):
 @settings(max_examples=60)
 @given(small_poly, small_poly, monic_poly)
 def test_poly_rem_ideal_invariance(a, r, phi):
-    assert _irem_monic(_iadd(mul(a, phi), r), phi) == _irem_monic(r, phi)
+    assert _iprem(_iadd(mul(a, phi), r), phi) == _iprem(r, phi)
 
 
 @settings(max_examples=60)

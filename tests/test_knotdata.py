@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from cli_runner import CliRunner
+from knotmeta.cli import main
 from knotmeta.intlinalg import IntMat
 from knotmeta.knotdata import (
     GroupWord,
@@ -91,6 +93,24 @@ class TestEpsilonSequence:
                     continue
                 eps = epsilon_sequence(tb(p, q))
                 assert eps == eps[::-1]
+
+    @pytest.mark.parametrize(
+        "args, hits, misses",
+        [
+            (["sweep", "--p-max", "21", "--negative-q"], 94, 94),
+            (["tb-verify", "-p", "15", "-q", "7", "--general-t"], 2, 1),
+            (["tb-riley", "-p", "15", "-q", "7"], 0, 1),
+            (["tb-crosscheck", "-p", "15", "-q", "7"], 0, 1),
+        ],
+    )
+    def test_one_cache_slot_serves_each_knot(self, args, hits, misses):
+        # every command builds one knot's words back to back, so a single
+        # slot gets every hit a larger cache would
+        epsilon_sequence.cache_clear()
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 0, res.stderr
+        info = epsilon_sequence.cache_info()
+        assert (info.maxsize, info.hits, info.misses) == (1, hits, misses)
 
 
 class TestWords:

@@ -17,7 +17,6 @@ from knotmeta.exactalg import (
     _imul,
     _ineg,
     _iprem,
-    _irem_monic,
     _ishift,
     _isub,
     _trim,
@@ -34,7 +33,6 @@ from knotmeta.riley import (
     RileyError,
     _holonomy_at_i,
     _is_squarefree,
-    _power_x1x2_at_i,
     approx_real_roots,
     cross_check_counts,
     riley_polynomial,
@@ -147,11 +145,13 @@ class TestReducedHolonomy:
             assert _holonomy_at_i(longitude_word(K)) == (0, identity), K.name
 
     def test_one_alternating_product_per_p(self):
-        for K in self.KNOTS:
-            verify_longitude_mod_phi(section_at_minus_one(K))
-        # one relator product per p, and the empty word
+        # a cold sweep builds one relator product per p, which is also the
+        # power form, and the empty word's, for every longitude
+        res = CliRunner().invoke(main, ["sweep", "--p-max", "45", "--negative-q", "-f", "json"])
+        assert res.exit_code == 0, res.stderr
         p_values = {K.p for K in self.KNOTS}
-        assert riley._alternating_at_i.cache_info().currsize == len(p_values) + 1
+        info = riley._alternating_at_i.cache_info()
+        assert info.misses == info.currsize == len(p_values) + 1
 
     def test_cancellation(self):
         # x1 x2 x2^-1 x1^-1 x2 = i^{1+1+3+3+1} N2
@@ -257,18 +257,35 @@ class TestSectionFastPath:
             assert phi in (sec.phi, _ineg(sec.phi)), K.name
 
     def test_power_form_matches_letter_product(self):
+        # (rho(x1) rho(x2))^h at t = -1 is M^h, M = [[-1-u,-1],[-u,-1]],
+        # folded here with shift/add steps: it must be (-1)^h times the
+        # alternating product of 2h factors from N1
+        powers = [((1,), (), (), (1,))]
+        for h in range(100):
+            A, B, C, D = powers[-1]
+            powers.append((
+                _isub(_ineg(A), _ishift(_iadd(A, B))), _ineg(_iadd(A, B)),
+                _isub(_ineg(C), _ishift(_iadd(C, D))), _ineg(_iadd(C, D)),
+            ))
+        for h, power in enumerate(powers):
+            sign = (-1) ** h
+            alternating = riley._alternating_at_i(1, 2 * h)
+            assert power == tuple(tuple(sign * x for x in e) for e in alternating), h
+        # and each knot's relator walk, with its unit, is the fold
         for K in all_two_bridge(15):
+            half = (K.p - 1) // 2
             k, P = _holonomy_at_i(relator_word(K))
             assert k % 2 == 0
-            power = _power_x1x2_at_i((K.p - 1) // 2)
             sign = 1 if k == 0 else -1
-            assert tuple(tuple(sign * x for x in e) for e in P) == power
+            assert tuple(tuple(sign * x for x in e) for e in P) == powers[half]
+            sec = section_at_minus_one(K)
+            assert (sec.w11, sec.w12) == powers[half][:2], K.name
 
 
 class TestInternalHelpers:
-    def test_irem_monic(self):
-        # u^3 mod u^2+5u+5 = 20u + 25
-        assert _irem_monic((0, 0, 0, 1), (5, 5, 1)) == (25, 20)
+    def test_iprem_by_monic(self):
+        # u^3 mod u^2+5u+5 = 20u + 25, exactly: the divisor is monic
+        assert _iprem((0, 0, 0, 1), (5, 5, 1)) == (25, 20)
 
     def test_content_normalize(self):
         assert _content_normalize((-10, -15, -5)) == (2, 3, 1)
@@ -281,7 +298,7 @@ class TestInternalHelpers:
         _k, (A, B, C, D) = _holonomy_at_i(relator_word(K))
         lhs = (A, _ineg(_iadd(A, B)), C, _ineg(_iadd(C, D)))
         rhs = (A, B, _isub(_ineg(_ishift(A)), C), _isub(_ineg(_ishift(B)), D))
-        residues = [_irem_monic(_isub(l, r), phi_bad) for l, r in zip(lhs, rhs)]
+        residues = [_iprem(_isub(l, r), phi_bad) for l, r in zip(lhs, rhs)]
         assert any(r != () for r in residues)
 
 
@@ -388,9 +405,10 @@ class TestPerValueMemos:
         assert not report.trace_is_two
 
     def test_power_form_error_names_each_knot(self, monkeypatch):
-        real = riley._power_x1x2_at_i
-        # one factor too many: w11 of degree half + 1
-        monkeypatch.setattr(riley, "_power_x1x2_at_i", lambda n: real(n + 1))
+        real = riley._alternating_at_i
+        # one factor rho(x1) rho(x2) too many in the shared product: w11 of
+        # degree half + 1
+        monkeypatch.setattr(riley, "_alternating_at_i", lambda g, n: real(g, n + 2))
         for q in (1, 3, 1):
             with pytest.raises(RileyError, match=rf"^S\(7,{q}\): deg w11\(-1,u\) = 4, expected 3$"):
                 section_at_minus_one(tb(7, q))
@@ -606,6 +624,23 @@ class TestErrorPaths:
         assert k == 0
         assert P == ((1,), (), (), (1,))
 
-    def test_bad_internal_phi_raises_nothing_silently(self):
-        with pytest.raises(AssertionError):
-            _irem_monic((1, 2, 3), (5, 5, 2))  # non-monic divisor refused
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # the same reduced product, with the unit i^2 too many
+            lambda letters: ((letters[0][0], -letters[0][1]),) + letters[1:],
+            # another reduced product
+            lambda letters: letters[:-2],
+        ],
+        ids=["unit", "product"],
+    )
+    def test_another_relator_word_is_refused(self, monkeypatch, edit):
+        real = riley.relator_word
+        monkeypatch.setattr(riley, "relator_word", lambda K: GroupWord(edit(real(K).letters)))
+        for q in (1, 3):
+            with pytest.raises(
+                RileyError,
+                match=rf"^S\(7,{q}\): letter-product holonomy differs from the "
+                r"\(rho\(x1\)rho\(x2\)\)\^3 power form at t = -1$",
+            ):
+                section_at_minus_one(tb(7, q))

@@ -241,6 +241,17 @@ def test_readme_repr():
             APolyError,
             "x: boolean True where an integer is expected",
         ),
+        # a tag of the wrong length is refused by name, not by TwoBridge's arity
+        (
+            lambda: APoly.from_terms("x", {(0, 1): 1}, pq=(3,)),
+            APolyError,
+            "x: two-bridge tag must be (p, q), got (3,)",
+        ),
+        (
+            lambda: APoly.from_terms("x", {(0, 1): 1}, pq=(3, 1, 1)),
+            APolyError,
+            "x: two-bridge tag must be (p, q), got (3, 1, 1)",
+        ),
         (
             lambda: IntMat([[True, False], [0, 1]]),
             IntLinAlgError,
